@@ -18,6 +18,9 @@
 // Timing covers simulation construction + run, so protocol allocation
 // (the arena path) is part of what is measured. Wall-clock numbers appear
 // in the table (this harness is about time); use --reps to average.
+// --fast-forward applies to every scenario (faults keep stagger/faults slot
+// by slot regardless); the default off keeps the rows comparable with
+// bench/baselines/slot_engine.json.
 
 #include <chrono>
 #include <cstdint>
@@ -106,6 +109,7 @@ int main(int argc, char** argv) {
                                config.seed = common.seed + rep;
                                config.horizon = horizon;
                                config.tracer = trace.get();
+                               config.fast_forward = common.fast_forward;
                                return sim::Simulation(
                                    bench::make_workload(burst), uniform,
                                    config);
@@ -122,6 +126,7 @@ int main(int argc, char** argv) {
                                config.horizon = horizon;
                                config.collision_detection = false;
                                config.tracer = trace.get();
+                               config.fast_forward = common.fast_forward;
                                return sim::Simulation(
                                    bench::make_workload(burst), aloha,
                                    config);
@@ -141,6 +146,7 @@ int main(int argc, char** argv) {
           config.faults.stall_min = 4;
           config.faults.stall_max = 16;
           config.tracer = trace.get();
+          config.fast_forward = common.fast_forward;
           return sim::Simulation(std::move(instance), uniform, config);
         }));
   }

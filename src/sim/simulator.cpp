@@ -3,11 +3,15 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
@@ -19,6 +23,23 @@ namespace crmd::sim {
 
 namespace {
 constexpr Slot kMaxSlot = std::numeric_limits<Slot>::max();
+
+// Exact contention arithmetic (see Impl::slot_contention): probabilities
+// that are multiples of 2^-32 are summed as integers in those units.
+constexpr double kUnitsPerOne = 4294967296.0;  // 2^32
+constexpr std::uint64_t kExactUnits = std::uint64_t{1} << 52;
+constexpr std::uint64_t kInexact = std::numeric_limits<std::uint64_t>::max();
+
+// `p` in units of 2^-32 when it is such a multiple in [0, 1] (scaling by a
+// power of two is exact), else kInexact.
+std::uint64_t exact_units(double p) {
+  const double scaled = p * kUnitsPerOne;
+  if (!(scaled >= 0.0 && scaled <= kUnitsPerOne)) {
+    return kInexact;  // out of range or NaN
+  }
+  const auto units = static_cast<std::uint64_t>(scaled);
+  return static_cast<double>(units) == scaled ? units : kInexact;
+}
 }  // namespace
 
 std::string fast_forward_usage() { return "expected off | on | validate"; }
@@ -161,23 +182,25 @@ struct Simulation::Impl {
   std::vector<std::int64_t> tx_count;
   // Radio-energy accounting (DESIGN.md §6k): slots spent listening (awake
   // without transmitting). Sleep slots are the remainder of live_slot_count;
-  // fast-forwarded dormant spans add nothing here — a dormant span is
-  // exactly a sleep span, so skipped slots batch-account zero awake slots,
+  // parked jobs and fast-forwarded spans add nothing here — a dormant span
+  // is exactly a sleep span, so those slots batch-account zero awake slots,
   // which is what makes the energy counters bit-identical across
   // --fast-forward modes.
   std::vector<std::int64_t> listen_count;
   // Last observed radio state (1 = awake) per job, for kRadioSleep /
   // kRadioWake transition events. Jobs activate awake (radio on at
-  // power-up); a fast-forward skip puts every live job to sleep at the
-  // skip's first slot, exactly where slot-by-slot simulation would.
+  // power-up); parking puts a job to sleep at the slot it parks, exactly
+  // where slot-by-slot simulation would.
   std::vector<std::uint8_t> prev_awake;
   // Multichannel (k > 1 only): each job's channel and collision count.
   std::vector<std::uint8_t> chan;
   std::vector<std::uint32_t> coll_count;
-  // Fast-forward promise cache: absolute slot the job's dormancy promise
-  // expires (0 = none cached) and the constant probability it declared.
-  // Re-querying dormant_span only for expired entries keeps the skip check
-  // at one virtual call per job per *promise*, not per skip.
+  // Fast-forward park state (DESIGN.md §6j): a live job is *parked* iff
+  // ff_until > now — it holds a dormancy promise up to ff_until and the
+  // decision, feedback and done() loops skip it. ff_prob is the promised
+  // constant probability of a parked job and this slot's declaration of an
+  // awake one, so the two together give every live job's contribution to
+  // the slot's contention without a virtual call.
   std::vector<Slot> ff_until;
   std::vector<double> ff_prob;
 
@@ -205,6 +228,22 @@ struct Simulation::Impl {
   /// stale high — activation refreshes it and triggered scans recompute it
   /// exactly — so results are provably identical.
   Slot min_deadline = kMaxSlot;
+
+  // Per-job wakeup scheduling (fast-forward only). Parked jobs sit in a
+  // binary min-heap keyed by their wakeup slot min(ff_until, deadline) and
+  // global id — global, so entries survive streaming compaction. A parked
+  // job leaves the heap only by waking: wakeups run before the deadline
+  // scan, so a parked job is never retired. While any job is parked,
+  // `awake_jobs` holds the live jobs that are not (possibly with retired
+  // ids, pruned lazily); while none is, it is empty and every loop runs
+  // over `live` exactly as without fast-forward.
+  std::vector<std::pair<Slot, JobId>> wake_heap;
+  std::vector<JobId> awake_jobs;
+  std::size_t parked = 0;
+  // Sum of the parked jobs' promised probabilities in units of 2^-32, and
+  // how many of them are not such a multiple (see slot_contention()).
+  std::uint64_t parked_units = 0;
+  std::size_t parked_inexact = 0;
 
   SimMetrics metrics;
   std::vector<SlotRecord> slot_trace;
@@ -338,6 +377,9 @@ struct Simulation::Impl {
     live_flag.push_back(1);
     live_pos.push_back(static_cast<std::uint32_t>(live.size()));
     live.push_back(id);
+    if (parked > 0) {
+      awake_jobs.push_back(id);
+    }
     live_slot_count.push_back(0);
     dark_slot_count.push_back(0);
     tx_count.push_back(0);
@@ -404,56 +446,233 @@ struct Simulation::Impl {
     dead_prefix = 0;
   }
 
-  // kValidate: simulates the k slots a skip is about to cover in stripped
-  // form — on_slot plus silent feedback for every live job, exactly the
-  // calls the real engine would make on a silent slot under every
-  // fast-forward-eligible feedback model — and throws if any protocol
-  // breaks its dormancy promise. State advances identically either way
-  // (the promise says silent slots are state no-ops), so kValidate and kOn
-  // produce bit-identical results; this is the checked proof of that.
-  void validate_skip(Slot span, double expect_contention) {
+  // Parks job `id` (index i) on the dormancy promise `span` made at `now`.
+  // Its live-slot counter is credited the whole park up front — the job
+  // wakes exactly at its heap key — and finish() takes back any part past
+  // the end of the run. A radio that was on goes to sleep here, the slot
+  // where slot-by-slot simulation would emit the transition.
+  void park(JobId id, std::size_t i, const DormantSpan& span) {
+    ff_until[i] = now + span.slots;
+    ff_prob[i] = span.prob;
+    const Slot wake = std::min(ff_until[i], deadline[i]);
+    live_slot_count[i] += wake - now;
+    wake_heap.emplace_back(wake, id);
+    std::push_heap(wake_heap.begin(), wake_heap.end(), std::greater<>{});
+    ++parked;
+    const std::uint64_t units = exact_units(span.prob);
+    if (units == kInexact) {
+      ++parked_inexact;
+    } else {
+      parked_units += units;
+    }
+    if (prev_awake[i] != 0) {
+      CRMD_TRACE(config.tracer, obs::EventKind::kRadioSleep, now, id,
+                 now - release[i], 0, 0.0, "sleep");
+      prev_awake[i] = 0;
+    }
+  }
+
+  // Wakes every parked job whose heap key has arrived into `awake_jobs`.
+  void wake_due() {
+    while (!wake_heap.empty() && wake_heap.front().first <= now) {
+      const JobId id = wake_heap.front().second;
+      std::pop_heap(wake_heap.begin(), wake_heap.end(), std::greater<>{});
+      wake_heap.pop_back();
+      const std::size_t i = ix(id);
+      assert(live_flag[i] != 0);
+      ff_until[i] = now;
+      --parked;
+      const std::uint64_t units = exact_units(ff_prob[i]);
+      if (units == kInexact) {
+        --parked_inexact;
+      } else {
+        parked_units -= units;
+      }
+      awake_jobs.push_back(id);
+    }
+  }
+
+  // The slot's contention C(t) while jobs are parked: the parked jobs'
+  // promised probabilities plus the declarations `ticking` cached in
+  // ff_prob this slot, equal bit for bit to the live-order fold the
+  // slot-by-slot engine computes. When every term is a multiple of 2^-32
+  // and the total stays below 2^52 such units, every partial sum of any
+  // order is an exactly representable double, so the fold equals the
+  // integer sum. Otherwise it falls back to the live-order fold itself.
+  [[nodiscard]] double slot_contention(
+      const std::vector<JobId>& ticking) const {
+    if (parked_inexact == 0) {
+      std::uint64_t total = parked_units;
+      bool exact = true;
+      for (const JobId id : ticking) {
+        const std::uint64_t units = exact_units(ff_prob[ix(id)]);
+        if (units == kInexact) {
+          exact = false;
+          break;
+        }
+        total += units;
+      }
+      if (exact && total < kExactUnits) {
+        return static_cast<double>(total) / kUnitsPerOne;
+      }
+    }
+    double contention = 0.0;
+    for (const JobId id : live) {
+      contention += ff_prob[ix(id)];
+    }
+    return contention;
+  }
+
+  // kValidate: ticks parked job i through `slot` in stripped form — on_slot
+  // plus silent feedback, exactly the calls the slot-by-slot engine makes
+  // for a sleeper (the sleep scrub turns whatever the channel did into
+  // silence) — and throws if it breaks its dormancy promise. State advances
+  // identically either way (the promise says silent slots are state
+  // no-ops), so kValidate and kOn produce bit-identical results; this is
+  // the checked proof of that. Returns the declared probability.
+  double check_promise(std::size_t i, Slot slot) {
+    const SlotView view{slot - release[i], slot};
+    const SlotAction action = proto[i]->on_slot(view);
+    if (action.transmit || action.declared_prob != ff_prob[i]) {
+      throw std::logic_error(
+          "fast-forward validate: a protocol broke its dormancy promise "
+          "in on_slot (transmitted or changed its declared probability)");
+    }
+    if (!action.sleep) {
+      // A dormant span is exactly a sleep span (DESIGN.md §6k): a parked
+      // job is accounted as asleep, so a protocol that promises dormancy
+      // while listening would make the energy counters diverge between
+      // --fast-forward modes.
+      throw std::logic_error(
+          "fast-forward validate: a protocol promised dormancy without "
+          "declaring sleep (the parked slots would be accounted as asleep, "
+          "but slot-by-slot simulation would count them as listening)");
+    }
     SlotFeedback silent;
     silent.outcome = SlotOutcome::kSilence;
     silent.message.reset();
-    for (Slot t = 0; t < span; ++t) {
-      const Slot slot = now + t;
+    proto[i]->on_feedback(view, silent);
+    if (proto[i]->done()) {
+      throw std::logic_error(
+          "fast-forward validate: a protocol broke its dormancy promise "
+          "in done() after silent feedback");
+    }
+    return action.declared_prob;
+  }
+
+  // kValidate, global skip: checks every live (hence parked) job through
+  // the `span` slots about to be skipped, and the promised contention.
+  void validate_skip(Slot span, double expect_contention) {
+    for (Slot slot = now; slot < now + span; ++slot) {
       double contention = 0.0;
       for (const JobId id : live) {
-        const std::size_t i = ix(id);
-        const SlotView view{slot - release[i], slot};
-        const SlotAction action = proto[i]->on_slot(view);
-        if (action.transmit || action.declared_prob != ff_prob[i]) {
-          throw std::logic_error(
-              "fast-forward validate: a protocol broke its dormancy promise "
-              "in on_slot (transmitted or changed its declared probability)");
-        }
-        if (!action.sleep) {
-          // A dormant span is exactly a sleep span (DESIGN.md §6k): the
-          // batch energy accounting of a skip charges zero awake slots, so
-          // a protocol that promises dormancy while listening would make
-          // the energy counters diverge between --fast-forward modes.
-          throw std::logic_error(
-              "fast-forward validate: a protocol promised dormancy without "
-              "declaring sleep (the skipped slots would be accounted as "
-              "asleep, but slot-by-slot simulation would count them as "
-              "listening)");
-        }
-        contention += action.declared_prob;
+        contention += check_promise(ix(id), slot);
       }
       if (contention != expect_contention) {
         throw std::logic_error(
             "fast-forward validate: per-slot contention diverged from the "
             "promised constant");
       }
-      for (const JobId id : live) {
-        const std::size_t i = ix(id);
-        const SlotView view{slot - release[i], slot};
-        proto[i]->on_feedback(view, silent);
-        if (proto[i]->done()) {
-          throw std::logic_error(
-              "fast-forward validate: a protocol broke its dormancy promise "
-              "in done() after silent feedback");
+    }
+  }
+
+  // Fast-forward query (DESIGN.md §6j), run each slot after activation,
+  // wakeups and deadline retirement. Asks the awake jobs, in live order,
+  // for a dormancy promise until the first one refuses, parking each that
+  // promises. When no awake job is left, the whole run of provably silent
+  // slots up to the next event — a wakeup (promise expiry or deadline), the
+  // next arrival, or the horizon — is accounted in one batch and `now`
+  // jumps across it; returns true then. A collision-cost freeze or an
+  // installed observer suppresses the jump (those slots must be
+  // materialized), not the parking.
+  bool park_or_skip() {
+    std::vector<JobId>* candidates = &live;
+    if (parked > 0) {
+      std::erase_if(awake_jobs, [this](JobId id) {
+        return id < base_id || live_flag[ix(id)] == 0;
+      });
+      std::sort(awake_jobs.begin(), awake_jobs.end(),
+                [this](JobId a, JobId b) {
+                  return live_pos[ix(a)] < live_pos[ix(b)];
+                });
+      candidates = &awake_jobs;
+    } else {
+      awake_jobs.clear();
+    }
+    std::size_t promised = 0;
+    for (; promised < candidates->size(); ++promised) {
+      const JobId id = (*candidates)[promised];
+      const std::size_t i = ix(id);
+      const DormantSpan span =
+          proto[i]->dormant_span(SlotView{now - release[i], now});
+      if (span.slots <= 0) {
+        break;  // no promise — this job must be simulated
+      }
+      park(id, i, span);
+    }
+    if (promised > 0) {
+      // The parked jobs are a prefix of the candidates.
+      const auto rest = static_cast<std::ptrdiff_t>(promised);
+      if (candidates == &live) {
+        awake_jobs.assign(live.begin() + rest, live.end());
+      } else {
+        awake_jobs.erase(awake_jobs.begin(), awake_jobs.begin() + rest);
+      }
+    }
+    const bool skip = parked > 0 && awake_jobs.empty() && freeze_left == 0 &&
+                      !observer;
+    if (!skip) {
+      if (parked > 0 && config.fast_forward == FastForward::kValidate) {
+        for (const JobId id : live) {
+          if (ff_until[ix(id)] > now) {
+            check_promise(ix(id), now);
+          }
         }
+      }
+      return false;
+    }
+
+    Slot end = std::min(wake_heap.front().first, horizon);
+    if (streaming()) {
+      if (pending_spec) {
+        end = std::min(end, pending_spec->release);
+      }
+    } else if (next_pending < job_count()) {
+      end = std::min(end, release[next_pending]);
+    }
+    const Slot span = end - now;
+    assert(span >= 1);
+    const double contention = slot_contention(awake_jobs);
+    if (config.fast_forward == FastForward::kValidate) {
+      validate_skip(span, contention);
+    }
+    // Account the skipped slots exactly as if simulated: every one is a
+    // silent slot with the promised constant contention and the current
+    // live set. Live-slot counters were credited at park time, and a
+    // dormant span is exactly a sleep span (DESIGN.md §6k), so the skipped
+    // slots add zero awake/listen/transmit job-slots — the same zero the
+    // slot-by-slot engine would tally.
+    metrics.slots_simulated += span;
+    metrics.silent_slots += span;
+    metrics.fast_forward_slots += span;
+    metrics.contention.add_run(contention, static_cast<std::size_t>(span));
+    metrics.live_peak = std::max<std::int64_t>(
+        metrics.live_peak, static_cast<std::int64_t>(live.size()));
+    metrics.live_job_slots += span * static_cast<std::int64_t>(live.size());
+    CRMD_TRACE(config.tracer, obs::EventKind::kIdleSkip, now, kNoJob, span,
+               static_cast<std::int64_t>(live.size()), contention,
+               "idle-skip");
+    now += span;
+    return true;
+  }
+
+  // End of run: takes back the credit of parks that reach past it.
+  void settle_parked() {
+    for (const JobId id : live) {
+      const std::size_t i = ix(id);
+      if (ff_until[i] > now) {
+        live_slot_count[i] -= std::min(ff_until[i], deadline[i]) - now;
+        ff_until[i] = now;
       }
     }
   }
@@ -467,11 +686,14 @@ struct Simulation::Impl {
     // Radio-state accounting (DESIGN.md §6k) rides along: a transmitter is
     // awake by definition, a non-transmitter is listening unless it
     // declared sleep, and a dark job's radio is off (crashed, not asleep).
+    // Parked jobs (fast-forward) sit out every loop here: they neither
+    // transmit, listen, nor finish, and their contention is added below.
+    const std::vector<JobId>& ticking = parked > 0 ? awake_jobs : live;
     transmissions.clear();
     double contention = 0.0;
     std::int64_t tx_this_slot = 0;
     std::int64_t listen_this_slot = 0;
-    for (const JobId id : live) {
+    for (const JobId id : ticking) {
       const std::size_t i = ix(id);
       ++live_slot_count[i];
       if (injector != nullptr && dark[i] != 0) {
@@ -483,6 +705,7 @@ struct Simulation::Impl {
                     /*global_slot=*/now + skew};
       const SlotAction action = proto[i]->on_slot(view);
       contention += action.declared_prob;
+      ff_prob[i] = action.declared_prob;
       const bool awake = action.transmit || !action.sleep;
       asleep[i] = awake ? 0 : 1;
       if (awake != (prev_awake[i] != 0)) {
@@ -504,6 +727,9 @@ struct Simulation::Impl {
         ++listen_count[i];
         ++listen_this_slot;
       }
+    }
+    if (parked > 0) {
+      contention = slot_contention(ticking);
     }
     metrics.slots_transmitting += tx_this_slot;
     metrics.slots_listening += listen_this_slot;
@@ -640,7 +866,7 @@ struct Simulation::Impl {
         transmitted[ix(capture_winner)] = 0;
       }
     }
-    for (const JobId id : live) {
+    for (const JobId id : ticking) {
       const std::size_t i = ix(id);
       if (injector != nullptr && dark[i] != 0) {
         continue;
@@ -718,7 +944,7 @@ struct Simulation::Impl {
       results[ix(winner)].success_slot = now;
       to_retire.push_back(winner);
     }
-    for (const JobId id : live) {
+    for (const JobId id : ticking) {
       if (proto[ix(id)]->done() &&
           (to_retire.empty() || to_retire.front() != id)) {
         to_retire.push_back(id);
@@ -1191,6 +1417,9 @@ bool Simulation::step() {
         s.live_flag[id] = 1;
         s.live_pos[id] = static_cast<std::uint32_t>(s.live.size());
         s.live.push_back(id);
+        if (s.parked > 0) {
+          s.awake_jobs.push_back(id);
+        }
         s.min_deadline = std::min(s.min_deadline, s.deadline[id]);
         CRMD_TRACE(s.config.tracer, obs::EventKind::kJobActivate, s.now, id,
                    s.release[id], s.deadline[id]);
@@ -1207,6 +1436,10 @@ bool Simulation::step() {
       ++s.next_pending;
     }
   }
+
+  // Wake the parked jobs whose promise expires or deadline arrives now, so
+  // the deadline scan below only ever retires awake jobs.
+  s.wake_due();
 
   // Retire jobs whose deadline has arrived (window is [release, deadline)).
   // The min_deadline cache makes the scan conditional: while the earliest
@@ -1238,76 +1471,13 @@ bool Simulation::step() {
     }
   }
 
-  // Event-driven fast-forward (DESIGN.md §6j): when every live job holds a
-  // dormancy promise, the whole run of provably-silent slots up to the
-  // nearest "event" — a promise expiry, a deadline, the next arrival, or
-  // the horizon — is accounted in one batch and `now` jumps across it.
-  // Checked after activation/retirement (so the live set is current) and
-  // before the fault phase (fast-forward and faults are mutually
-  // exclusive; see Impl::ff_enabled).
-  if (s.ff_enabled && s.freeze_left == 0 && !s.observer) {
-    Slot bound = s.horizon - s.now;
-    if (s.streaming()) {
-      if (s.pending_spec) {
-        bound = std::min(bound, s.pending_spec->release - s.now);
-      }
-    } else if (s.next_pending < s.job_count()) {
-      bound = std::min(bound, s.release[s.next_pending] - s.now);
-    }
-    double contention = 0.0;
-    for (const JobId id : s.live) {
-      const std::size_t i = s.ix(id);
-      bound = std::min(bound, s.deadline[i] - s.now);
-      if (s.ff_until[i] <= s.now) {
-        const SlotView view{s.now - s.release[i], s.now};
-        const DormantSpan span = s.proto[i]->dormant_span(view);
-        if (span.slots <= 0) {
-          bound = 0;  // no promise — this slot must be simulated
-          break;
-        }
-        s.ff_until[i] = s.now + span.slots;
-        s.ff_prob[i] = span.prob;
-      }
-      bound = std::min(bound, s.ff_until[i] - s.now);
-      contention += s.ff_prob[i];
-    }
-    if (bound >= 1) {
-      if (s.config.fast_forward == FastForward::kValidate) {
-        s.validate_skip(bound, contention);
-      }
-      // Account the skipped slots exactly as if simulated: every one is a
-      // silent slot with the promised constant contention and the current
-      // live set.
-      s.metrics.slots_simulated += bound;
-      s.metrics.silent_slots += bound;
-      s.metrics.fast_forward_slots += bound;
-      s.metrics.contention.add_run(contention,
-                                   static_cast<std::size_t>(bound));
-      s.metrics.live_peak = std::max<std::int64_t>(
-          s.metrics.live_peak, static_cast<std::int64_t>(s.live.size()));
-      s.metrics.live_job_slots +=
-          bound * static_cast<std::int64_t>(s.live.size());
-      // Energy batching (DESIGN.md §6k): a dormant span is exactly a sleep
-      // span, so the skipped slots add zero awake/listen/transmit job-slots
-      // — the same zero the slot-by-slot engine would tally, since
-      // validate_skip proves every promised slot declares sleep. Jobs that
-      // were awake go to sleep at the skip's first slot, exactly where
-      // slot-by-slot simulation would emit the transition.
-      for (const JobId id : s.live) {
-        const std::size_t i = s.ix(id);
-        s.live_slot_count[i] += bound;
-        if (s.prev_awake[i] != 0) {
-          CRMD_TRACE(s.config.tracer, obs::EventKind::kRadioSleep, s.now, id,
-                     s.now - s.release[i], 0, 0.0, "sleep");
-          s.prev_awake[i] = 0;
-        }
-      }
-      CRMD_TRACE(s.config.tracer, obs::EventKind::kIdleSkip, s.now, kNoJob,
-                 bound, static_cast<std::int64_t>(s.live.size()), contention,
-                 "idle-skip");
-      s.now += bound;
-      return !s.finished;
-    }
+  // Event-driven fast-forward (DESIGN.md §6j): park the jobs that hold a
+  // dormancy promise and, when none is left awake, jump across the
+  // provably silent run. Checked after activation/retirement (so the live
+  // set is current) and before the fault phase (fast-forward and faults are
+  // mutually exclusive; see Impl::ff_enabled).
+  if (s.ff_enabled && s.park_or_skip()) {
+    return !s.finished;
   }
 
   // Fault phase: advance each live job's crash/stall/skew state. Dead jobs
@@ -1371,6 +1541,7 @@ SimResult Simulation::finish() {
   while (step()) {
   }
   Impl& s = *impl_;
+  s.settle_parked();
   SimResult result;
   if (s.streaming()) {
     // Fold jobs still live at the horizon (never retired — matching batch

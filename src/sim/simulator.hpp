@@ -48,27 +48,31 @@ namespace crmd::sim {
 
 class ArrivalProcess;
 
-/// Event-driven fast-forward policy (DESIGN.md §6j). With `kOn`, whenever
-/// every live job holds a dormancy promise (Protocol::dormant_span) the
-/// engine jumps `now` across the whole provably-silent run in O(live),
+/// Event-driven fast-forward policy (DESIGN.md §6j). With `kOn`, every live
+/// job that holds a dormancy promise (Protocol::dormant_span) is *parked*
+/// until the promise expires or its deadline arrives: the slot loops tick
+/// only the awake jobs, while parked jobs contribute their promised
+/// probability to the slot's contention (bit-identical to the slot-by-slot
+/// sum). When no job is left awake, the engine jumps `now` across the whole
+/// provably-silent run to the next wakeup, arrival or the horizon,
 /// accounting the skipped slots exactly as if simulated: slot counts,
 /// silence counts, per-job live-slot counters, and the obs::Timeline
 /// buckets all match; the contention distribution matches in count, min,
 /// max, and (up to floating-point reassociation of the Welford update)
-/// mean/variance. `kValidate` finds the same skips but then simulates every
-/// skipped slot in stripped form, throwing std::logic_error if any protocol
-/// breaks its promise — its results are bit-identical to `kOn` by
-/// construction, which is what tests/test_fast_forward.cpp pins.
+/// mean/variance. `kValidate` parks and skips the same way but also
+/// simulates every parked slot in stripped form, throwing std::logic_error
+/// if any protocol breaks its promise — its results are bit-identical to
+/// `kOn` by construction, which is what tests/test_fast_forward.cpp pins.
 ///
 /// Fast-forward silently disables itself (exactly `kOff` behavior) when the
 /// run has per-slot randomness or per-slot artifacts a skip cannot
 /// reproduce: a jammer, any fault plan, the noisy feedback model with
 /// eps > 0, record_slots, or multiple channels. A SlotObserver suppresses
-/// skips while installed.
+/// skips (but not parking) while installed.
 enum class FastForward {
   kOff,       ///< never skip (the default; bit-identical to the pre-FF engine)
-  kOn,        ///< skip provably-silent runs in O(live)
-  kValidate,  ///< skip, but re-simulate skipped slots and check the promises
+  kOn,        ///< park dormant jobs and skip provably-silent runs
+  kValidate,  ///< as kOn, but re-simulate parked slots and check the promises
 };
 
 /// One-line usage text for --fast-forward error messages.

@@ -11,11 +11,15 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "baselines/beb.hpp"
+#include "baselines/energy_beb.hpp"
 #include "baselines/sawtooth.hpp"
 #include "core/params.hpp"
 #include "core/uniform.hpp"
@@ -150,6 +154,34 @@ TEST(FastForward, OnMatchesValidateAcrossModels) {
 // integer metric, and the contention distribution in count/min/max (its
 // mean and variance may differ from kOff only by floating-point
 // reassociation of the batched Welford update).
+void expect_matches_slot_by_slot(const SimResult& on, const SimResult& off,
+                                 const std::string& label) {
+  EXPECT_EQ(off.metrics.fast_forward_slots, 0) << label;
+  ASSERT_EQ(on.jobs.size(), off.jobs.size()) << label;
+  for (std::size_t i = 0; i < on.jobs.size(); ++i) {
+    EXPECT_EQ(on.jobs[i].success, off.jobs[i].success) << label;
+    EXPECT_EQ(on.jobs[i].success_slot, off.jobs[i].success_slot) << label;
+    EXPECT_EQ(on.jobs[i].transmissions, off.jobs[i].transmissions) << label;
+    EXPECT_EQ(on.jobs[i].live_slots, off.jobs[i].live_slots) << label;
+  }
+  EXPECT_EQ(on.metrics.slots_simulated, off.metrics.slots_simulated)
+      << label;
+  EXPECT_EQ(on.metrics.slots_skipped, off.metrics.slots_skipped) << label;
+  EXPECT_EQ(on.metrics.silent_slots, off.metrics.silent_slots) << label;
+  EXPECT_EQ(on.metrics.success_slots, off.metrics.success_slots) << label;
+  EXPECT_EQ(on.metrics.noise_slots, off.metrics.noise_slots) << label;
+  EXPECT_EQ(on.metrics.live_peak, off.metrics.live_peak) << label;
+  EXPECT_EQ(on.metrics.contention.count(), off.metrics.contention.count())
+      << label;
+  EXPECT_EQ(on.metrics.contention.min(), off.metrics.contention.min())
+      << label;
+  EXPECT_EQ(on.metrics.contention.max(), off.metrics.contention.max())
+      << label;
+  EXPECT_NEAR(on.metrics.contention.mean(), off.metrics.contention.mean(),
+              1e-9)
+      << label;
+}
+
 TEST(FastForward, OnPreservesSlotBySlotResults) {
   for (const Factory& f : promising_factories()) {
     const workload::Instance instance = sparse_instance(64);
@@ -158,36 +190,254 @@ TEST(FastForward, OnPreservesSlotBySlotResults) {
     const SimResult on = run_with(instance, f.factory, FastForward::kOn,
                                   FeedbackModel{}, 1);
     EXPECT_GT(on.metrics.fast_forward_slots, 0) << f.name;
-    EXPECT_EQ(off.metrics.fast_forward_slots, 0) << f.name;
-
-    ASSERT_EQ(on.jobs.size(), off.jobs.size()) << f.name;
-    for (std::size_t i = 0; i < on.jobs.size(); ++i) {
-      EXPECT_EQ(on.jobs[i].success, off.jobs[i].success) << f.name;
-      EXPECT_EQ(on.jobs[i].success_slot, off.jobs[i].success_slot)
-          << f.name;
-      EXPECT_EQ(on.jobs[i].transmissions, off.jobs[i].transmissions)
-          << f.name;
-      EXPECT_EQ(on.jobs[i].live_slots, off.jobs[i].live_slots) << f.name;
-    }
-    EXPECT_EQ(on.metrics.slots_simulated, off.metrics.slots_simulated)
-        << f.name;
-    EXPECT_EQ(on.metrics.slots_skipped, off.metrics.slots_skipped)
-        << f.name;
-    EXPECT_EQ(on.metrics.silent_slots, off.metrics.silent_slots) << f.name;
-    EXPECT_EQ(on.metrics.success_slots, off.metrics.success_slots)
-        << f.name;
-    EXPECT_EQ(on.metrics.noise_slots, off.metrics.noise_slots) << f.name;
-    EXPECT_EQ(on.metrics.live_peak, off.metrics.live_peak) << f.name;
-    EXPECT_EQ(on.metrics.contention.count(), off.metrics.contention.count())
-        << f.name;
-    EXPECT_EQ(on.metrics.contention.min(), off.metrics.contention.min())
-        << f.name;
-    EXPECT_EQ(on.metrics.contention.max(), off.metrics.contention.max())
-        << f.name;
-    EXPECT_NEAR(on.metrics.contention.mean(), off.metrics.contention.mean(),
-                1e-9)
-        << f.name;
+    expect_matches_slot_by_slot(on, off, f.name);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Per-job parking: contention paths, validation in stepped slots, call counts
+// ---------------------------------------------------------------------------
+
+/// One protocol per job by id: UNIFORM (ids 0 and 1 mod 4), BEB (2 mod 4)
+/// and ENERGY_BEB (3 mod 4, BEB again with `dyadic_only`), so parked and
+/// awake jobs of every kind share slots.
+ProtocolFactory mixed_factory(bool dyadic_only = false) {
+  core::Params params;
+  params.lambda = 2;
+  const ProtocolFactory uniform = core::make_uniform_factory(params);
+  const ProtocolFactory beb = baselines::make_beb_factory();
+  const ProtocolFactory energy_beb = baselines::make_energy_beb_factory(params);
+  return ProtocolFactory([=](const JobInfo& info, util::Rng rng) {
+    switch (info.id % 4) {
+      case 0:
+      case 1:
+        return uniform(info, std::move(rng));
+      case 2:
+        return beb(info, std::move(rng));
+      default:
+        return dyadic_only ? beb(info, std::move(rng))
+                           : energy_beb(info, std::move(rng));
+    }
+  });
+}
+
+/// Releases `gap` slots apart for mixed_factory (ids follow release order).
+/// Windows are 1024, so UNIFORM and BEB declare multiples of 2^-32, except
+/// that the UNIFORM jobs with id 1 mod 4 get window 1000 (a probability
+/// that is no such multiple) unless `dyadic_only`.
+workload::Instance mixed_instance(std::int64_t jobs, Slot gap,
+                                  bool dyadic_only = false) {
+  workload::Instance instance;
+  for (std::int64_t i = 0; i < jobs; ++i) {
+    const Slot window = !dyadic_only && i % 4 == 1 ? 1000 : 1024;
+    instance.jobs.push_back(workload::JobSpec{i * gap, i * gap + window});
+  }
+  return instance;
+}
+
+// The two ways the engine sums contention while jobs are parked — integer
+// units of 2^-32 when every probability is such a multiple, the live-order
+// fold over cached probabilities otherwise — must both reproduce the
+// slot-by-slot engine: kOn equals kValidate digest for digest, and kOff's
+// results hold at the tolerances above.
+TEST(FastForward, MixedContentionPathsMatchValidateAndOff) {
+  core::Params params;
+  params.lambda = 2;
+  const ProtocolFactory uniform = core::make_uniform_factory(params);
+  const auto cases =
+      std::vector<std::tuple<std::string, workload::Instance, ProtocolFactory>>{
+          {"mixed/stagger", mixed_instance(64, 96), mixed_factory()},
+          {"mixed/burst", mixed_instance(64, 0), mixed_factory()},
+          {"dyadic/stagger", mixed_instance(64, 96, true), mixed_factory(true)},
+          {"uniform@1024/burst", workload::gen_batch(64, 1024), uniform},
+          {"uniform@1000/burst", workload::gen_batch(64, 1000), uniform},
+      };
+  for (const auto& [name, instance, factory] : cases) {
+    for (const auto& [fb_name, feedback] : feedback_models()) {
+      for (const int cost : {1, 3}) {
+        const std::string label =
+            name + "/" + fb_name + "/cost=" + std::to_string(cost);
+        const SimResult on =
+            run_with(instance, factory, FastForward::kOn, feedback, cost);
+        SimResult validated;
+        ASSERT_NO_THROW(validated = run_with(instance, factory,
+                                             FastForward::kValidate,
+                                             feedback, cost))
+            << label;
+        EXPECT_EQ(sim_digest(on), sim_digest(validated)) << label;
+        const SimResult off =
+            run_with(instance, factory, FastForward::kOff, feedback, cost);
+        expect_matches_slot_by_slot(on, off, label);
+      }
+    }
+  }
+}
+
+// An observer suppresses skips but not parking, so every slot is stepped
+// with parked jobs contributing their promises: the per-slot contention
+// must equal kOff's bit for bit on both summation paths, and so must the
+// whole result.
+TEST(FastForward, ParkedContentionIsExactPerSlot) {
+  const auto cases =
+      std::vector<std::tuple<std::string, workload::Instance, ProtocolFactory>>{
+          {"mixed", mixed_instance(64, 8), mixed_factory()},
+          {"dyadic", mixed_instance(64, 8, true), mixed_factory(true)},
+      };
+  const auto observed = [](const workload::Instance& instance,
+                           const ProtocolFactory& factory, FastForward ff,
+                           std::vector<double>* out) {
+    SimConfig config;
+    config.seed = 3;
+    config.fast_forward = ff;
+    Simulation simulation(instance, factory, config);
+    simulation.set_observer(
+        [out](const SlotRecord& rec, std::span<const Transmission>) {
+          out->push_back(rec.contention);
+        });
+    return simulation.finish();
+  };
+  for (const auto& [name, instance, factory] : cases) {
+    std::vector<double> on_contention;
+    std::vector<double> off_contention;
+    const SimResult on =
+        observed(instance, factory, FastForward::kOn, &on_contention);
+    const SimResult off =
+        observed(instance, factory, FastForward::kOff, &off_contention);
+    EXPECT_FALSE(on_contention.empty()) << name;
+    EXPECT_EQ(on_contention, off_contention) << name;
+    EXPECT_EQ(sim_digest(on), sim_digest(off)) << name;
+  }
+}
+
+/// Promises dormancy for its whole window but transmits at
+/// since_release == kBreak: a broken promise.
+class BrokenPromise final : public Protocol {
+ public:
+  static constexpr Slot kBreak = 5;
+  void on_activate(const JobInfo& info) override { info_ = info; }
+  SlotAction on_slot(const SlotView& view) override {
+    SlotAction action;
+    action.sleep = true;
+    if (view.since_release == kBreak) {
+      action.transmit = true;
+      action.message = make_data(info_.id);
+      action.declared_prob = 1.0;
+    }
+    return action;
+  }
+  void on_feedback(const SlotView& /*view*/,
+                   const SlotFeedback& /*fb*/) override {}
+  [[nodiscard]] bool done() const override { return false; }
+  [[nodiscard]] DormantSpan dormant_span(
+      const SlotView& view) const override {
+    return {info_.window() - view.since_release, 0.0};
+  }
+
+ private:
+  JobInfo info_;
+};
+
+/// Listens every slot and never promises, so no slot it is live in can be
+/// skipped.
+class AlwaysListening final : public Protocol {
+ public:
+  void on_activate(const JobInfo& /*info*/) override {}
+  SlotAction on_slot(const SlotView& /*view*/) override { return {}; }
+  void on_feedback(const SlotView& /*view*/,
+                   const SlotFeedback& /*fb*/) override {}
+  [[nodiscard]] bool done() const override { return false; }
+};
+
+// A promise broken in a slot that another job forces to be stepped is
+// never inside a skipped span, so only the per-slot check of parked jobs
+// can catch it: kOn parks the liar and runs through, kValidate throws.
+TEST(FastForward, ValidateChecksParkedJobsInSteppedSlots) {
+  const ProtocolFactory factory(
+      [](const JobInfo& info, util::Rng /*rng*/) -> std::unique_ptr<Protocol> {
+        if (info.id == 0) {
+          return std::make_unique<BrokenPromise>();
+        }
+        return std::make_unique<AlwaysListening>();
+      });
+  // Job 0 comes first in live order, so it is queried (and parked) before
+  // job 1 refuses.
+  workload::Instance instance;
+  instance.jobs = {workload::JobSpec{0, 64}, workload::JobSpec{0, 64}};
+  SimConfig config;
+  config.fast_forward = FastForward::kOn;
+  SimResult on;
+  ASSERT_NO_THROW(on = run(instance, factory, config));
+  EXPECT_EQ(on.metrics.fast_forward_slots, 0);
+  config.fast_forward = FastForward::kValidate;
+  EXPECT_THROW((void)run(instance, factory, config), std::logic_error);
+}
+
+/// Counts every protocol call the engine makes, forwarding to the wrapped
+/// protocol.
+class CallCounter final : public Protocol {
+ public:
+  CallCounter(std::unique_ptr<Protocol> inner, std::int64_t* calls)
+      : inner_(std::move(inner)), calls_(calls) {}
+  void on_activate(const JobInfo& info) override {
+    ++*calls_;
+    inner_->on_activate(info);
+  }
+  SlotAction on_slot(const SlotView& view) override {
+    ++*calls_;
+    return inner_->on_slot(view);
+  }
+  void on_feedback(const SlotView& view, const SlotFeedback& fb) override {
+    ++*calls_;
+    inner_->on_feedback(view, fb);
+  }
+  [[nodiscard]] bool done() const override {
+    ++*calls_;
+    return inner_->done();
+  }
+  [[nodiscard]] DormantSpan dormant_span(
+      const SlotView& view) const override {
+    ++*calls_;
+    return inner_->dormant_span(view);
+  }
+
+ private:
+  std::unique_ptr<Protocol> inner_;
+  std::int64_t* calls_;
+};
+
+// A dense burst of UNIFORM jobs sleeps everywhere but its attempt slots,
+// so with per-job parking a job costs a few calls per attempt plus the
+// slots it is actually awake — not one tick per live slot. The slot-by-slot
+// engine makes 3 calls per live job-slot here (hundreds of thousands);
+// parking must stay within a small constant per job plus O(stepped slots).
+TEST(FastForward, DenseBurstTicksOnlyDueJobs) {
+  constexpr std::int64_t kJobs = 2048;
+  core::Params params;
+  params.lambda = 2;
+  const ProtocolFactory uniform = core::make_uniform_factory(params);
+  std::int64_t calls = 0;
+  const ProtocolFactory counted(
+      [&](const JobInfo& info, util::Rng rng) -> std::unique_ptr<Protocol> {
+        return std::make_unique<CallCounter>(uniform(info, std::move(rng)),
+                                             &calls);
+      });
+  const workload::Instance instance = workload::gen_batch(kJobs, 4 * kJobs);
+  SimConfig config;
+  config.seed = 17;
+  config.fast_forward = FastForward::kOn;
+  const SimResult on = run(instance, counted, config);
+  const std::int64_t stepped =
+      on.metrics.slots_simulated - on.metrics.fast_forward_slots;
+  EXPECT_GT(on.metrics.fast_forward_slots, 0);
+  EXPECT_GT(stepped, 0);
+  EXPECT_LE(calls, 8 * kJobs + 2 * stepped)
+      << "stepped slots: " << stepped
+      << ", live job-slots: " << on.metrics.live_job_slots;
+
+  // Same results as the counted-free slot-by-slot run.
+  config.fast_forward = FastForward::kOff;
+  const SimResult off = run(instance, uniform, config);
+  expect_matches_slot_by_slot(on, off, "dense burst");
 }
 
 // A protocol without a dormancy promise (sawtooth inherits the no-promise
@@ -291,6 +541,26 @@ TEST(FastForward, StreamingMatchesBatchBitExactly) {
     const SimResult compacted = run_streamed(instance, uniform, tight);
     EXPECT_EQ(sim_digest(batch), sim_digest(compacted))
         << "ff=" << static_cast<int>(ff) << " (stream_compact=2)";
+  }
+}
+
+// Parked jobs sit in the wakeup heap under their global job id, so they
+// survive the streaming engine's array compaction: with the threshold at 1
+// (compact whenever half the arrays are dead) a kOn stream of mixed
+// protocols matches the batch run bit for bit.
+TEST(FastForward, StreamingCompactionKeepsParkedJobs) {
+  const ProtocolFactory mixed = mixed_factory();
+  for (const workload::Instance& instance :
+       {poisson_instance(77), mixed_instance(96, 200)}) {
+    SimConfig config;
+    config.seed = 8;
+    config.horizon = instance.max_deadline();
+    config.fast_forward = FastForward::kOn;
+    config.stream_compact = 1;
+    const SimResult batch = run(instance, mixed, config);
+    const SimResult streamed = run_streamed(instance, mixed, config);
+    EXPECT_GT(streamed.metrics.fast_forward_slots, 0);
+    EXPECT_EQ(sim_digest(batch), sim_digest(streamed));
   }
 }
 
