@@ -84,7 +84,7 @@ struct CommonArgs {
   /// build without the flag.
   sim::FastForward fast_forward;
   /// FDMA scenario from --channels=K[:migrate[:N]] (see multichannel.hpp).
-  /// Defaults to a single channel — the engine's unchanged hot path.
+  /// Defaults to a single channel — the paper's.
   sim::MultiChannelConfig multichannel;
   /// Streaming arrival process from --arrivals=SPEC (see arrivals.hpp);
   /// nullopt when the flag is absent. Harnesses that support it build one

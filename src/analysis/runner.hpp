@@ -59,8 +59,7 @@ struct RunOptions {
   /// bit-identical to the pre-FF engine.
   sim::FastForward fast_forward = sim::FastForward::kOff;
   /// Multi-channel scenario for every replication (simulator.hpp
-  /// SimConfig::multichannel). The default single channel is the engine's
-  /// unchanged hot path.
+  /// SimConfig::multichannel). The default single channel is the paper's.
   sim::MultiChannelConfig multichannel;
   /// Worker count; see run_replications. 1 = exact serial loop.
   int threads = 1;

@@ -34,6 +34,9 @@ namespace crmd::sim {
 /// migration rehashes). Uniform over [0, shards); consumes no RNG stream.
 [[nodiscard]] inline int shard_of(std::uint64_t seed, std::uint64_t key,
                                   int shards) noexcept {
+  if (shards == 1) {
+    return 0;  // the paper's channel; the engine asks for every job it adds
+  }
   std::uint64_t state = seed ^ (0x9E3779B97F4A7C15ULL * (key + 1));
   return static_cast<int>(util::splitmix64(state) %
                           static_cast<std::uint64_t>(shards));

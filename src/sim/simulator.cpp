@@ -160,11 +160,6 @@ struct Simulation::Impl {
   std::vector<JobResult> finished_results;
   StreamSummary stream;
 
-  /// Remaining frozen slots of an armed collision cost (collision_cost - 1
-  /// after each perceived collision); 0 on the paper's channel.
-  Slot freeze_left = 0;
-  /// Per-channel freeze counters (multichannel; sized channels when k > 1).
-  std::vector<Slot> chan_freeze;
   /// Capabilities stamped into every JobInfo (derived once from the model).
   ChannelCaps caps;
   std::unique_ptr<FaultInjector> injector;  // null when the plan is empty
@@ -192,7 +187,8 @@ struct Simulation::Impl {
   // power-up); parking puts a job to sleep at the slot it parks, exactly
   // where slot-by-slot simulation would.
   std::vector<std::uint8_t> prev_awake;
-  // Multichannel (k > 1 only): each job's channel and collision count.
+  // Each job's channel (all zeros when k = 1) and collision count (read
+  // only by migration).
   std::vector<std::uint8_t> chan;
   std::vector<std::uint32_t> coll_count;
   // Fast-forward park state (DESIGN.md §6j): a live job is *parked* iff
@@ -252,20 +248,29 @@ struct Simulation::Impl {
   // Scratch buffers reused across slots. `dark` and `transmitted` are
   // job-indexed but cleared per slot only at the entries written this slot
   // (live jobs resp. transmitters), so per-slot cost tracks the live set.
-  std::vector<Transmission> transmissions;
   std::vector<JobId> to_retire;
   std::vector<std::uint8_t> dark;         // "dark this slot" (faulted runs)
   std::vector<std::uint8_t> transmitted;  // "sent this slot" (ACK-only runs)
   std::vector<std::uint8_t> asleep;       // "slept this slot" (§6k scrub)
-  // Multichannel per-slot scratch (k > 1 only), all indexed by channel.
-  std::vector<std::vector<Transmission>> chan_tx;
-  std::vector<double> chan_contention;
-  std::vector<std::uint32_t> chan_live;
-  std::vector<std::uint32_t> chan_awake;
-  std::vector<SlotFeedback> chan_fb;           // true outcome
-  std::vector<SlotFeedback> chan_listener;     // listener projection
-  std::vector<SlotFeedback> chan_transmitter;  // transmitter projection
-  std::vector<std::uint8_t> chan_split;
+
+  // One sub-channel (DESIGN.md §6j): its freeze state across slots plus
+  // this slot's scratch. The paper's channel is the k = 1 case.
+  struct Channel {
+    std::vector<Transmission> tx;
+    double contention = 0.0;  // C(t) over the jobs on this channel
+    std::uint32_t live = 0;   // live jobs on this channel
+    std::uint32_t awake = 0;  // of which radio on
+    /// Remaining frozen slots of an armed collision cost (collision_cost - 1
+    /// after each perceived collision); 0 on the paper's channel.
+    Slot freeze = 0;
+    SlotFeedback truth;        // true outcome (credited)
+    SlotFeedback listener;     // what a pure listener perceives
+    SlotFeedback transmitter;  // what a transmitter perceives
+    bool split = false;        // transmitter view differs from listener's
+    bool jammed = false;
+    JobId capture_winner = kNoJob;
+  };
+  std::vector<Channel> chans;  // sized k
 
   [[nodiscard]] std::size_t ix(JobId id) const noexcept {
     return static_cast<std::size_t>(id - base_id);
@@ -390,11 +395,9 @@ struct Simulation::Impl {
     asleep.push_back(0);
     ff_until.push_back(0);
     ff_prob.push_back(0.0);
-    if (config.multichannel.channels > 1) {
-      chan.push_back(static_cast<std::uint8_t>(
-          shard_of(config.seed, id, config.multichannel.channels)));
-      coll_count.push_back(0);
-    }
+    chan.push_back(static_cast<std::uint8_t>(
+        shard_of(config.seed, id, config.multichannel.channels)));
+    coll_count.push_back(0);
     JobResult result;
     result.id = id;
     result.release = spec.release;
@@ -438,10 +441,8 @@ struct Simulation::Impl {
     erase_prefix(ff_until);
     erase_prefix(ff_prob);
     erase_prefix(results);
-    if (config.multichannel.channels > 1) {
-      erase_prefix(chan);
-      erase_prefix(coll_count);
-    }
+    erase_prefix(chan);
+    erase_prefix(coll_count);
     base_id += static_cast<JobId>(dead_prefix);
     dead_prefix = 0;
   }
@@ -619,8 +620,9 @@ struct Simulation::Impl {
         awake_jobs.erase(awake_jobs.begin(), awake_jobs.begin() + rest);
       }
     }
-    const bool skip = parked > 0 && awake_jobs.empty() && freeze_left == 0 &&
-                      !observer;
+    // Fast-forward requires k = 1, so chans[0] is the only channel.
+    const bool skip = parked > 0 && awake_jobs.empty() &&
+                      chans[0].freeze == 0 && !observer;
     if (!skip) {
       if (parked > 0 && config.fast_forward == FastForward::kValidate) {
         for (const JobId id : live) {
@@ -677,10 +679,14 @@ struct Simulation::Impl {
     }
   }
 
-  // Single-channel decision -> resolve -> feedback -> record -> credit
-  // pipeline: the engine's historical hot path, byte-for-byte the same
-  // operation order as ever (ix() is the identity in batch mode).
-  void step_single(std::int64_t faults_before) {
+  // The slot pipeline (DESIGN.md §6e, §6j) over the k sub-channels; k = 1
+  // is the paper's channel. One decision pass over the ticking jobs
+  // buckets transmissions by channel; each channel then resolves, applies
+  // its physics and projects its feedback; one feedback pass, one record
+  // per channel, one migration pass and one credit/retire pass follow. The
+  // operation order (simulator.hpp) is pinned by the golden digests and by
+  // tests/reference_sim.hpp (ix() is the identity in batch mode).
+  void step_slot(std::int64_t faults_before) {
     // Decision phase. A skewed job sees its perceived (slipped-ahead) slot
     // indices; a dark job is skipped entirely (no on_slot, no feedback).
     // Radio-state accounting (DESIGN.md §6k) rides along: a transmitter is
@@ -688,14 +694,23 @@ struct Simulation::Impl {
     // declared sleep, and a dark job's radio is off (crashed, not asleep).
     // Parked jobs (fast-forward) sit out every loop here: they neither
     // transmit, listen, nor finish, and their contention is added below.
+    // With k = 1 every job is on channel 0, which is indexed directly.
+    const bool multi = chans.size() > 1;
     const std::vector<JobId>& ticking = parked > 0 ? awake_jobs : live;
-    transmissions.clear();
-    double contention = 0.0;
+    for (Channel& ch : chans) {
+      ch.tx.clear();
+      ch.contention = 0.0;
+      ch.live = 0;
+      ch.awake = 0;
+    }
     std::int64_t tx_this_slot = 0;
     std::int64_t listen_this_slot = 0;
     for (const JobId id : ticking) {
       const std::size_t i = ix(id);
       ++live_slot_count[i];
+      const std::size_t c = multi ? chan[i] : 0;
+      Channel& ch = chans[c];
+      ++ch.live;
       if (injector != nullptr && dark[i] != 0) {
         ++dark_slot_count[i];
         continue;
@@ -704,7 +719,7 @@ struct Simulation::Impl {
       SlotView view{/*since_release=*/now - release[i] + skew,
                     /*global_slot=*/now + skew};
       const SlotAction action = proto[i]->on_slot(view);
-      contention += action.declared_prob;
+      ch.contention += action.declared_prob;
       ff_prob[i] = action.declared_prob;
       const bool awake = action.transmit || !action.sleep;
       asleep[i] = awake ? 0 : 1;
@@ -712,158 +727,55 @@ struct Simulation::Impl {
         CRMD_TRACE(config.tracer,
                    awake ? obs::EventKind::kRadioWake
                          : obs::EventKind::kRadioSleep,
-                   now, id, now - release[i], 0, 0.0,
-                   awake ? "wake" : "sleep");
+                   now, id, now - release[i], static_cast<std::int64_t>(c),
+                   0.0, awake ? "wake" : "sleep");
         prev_awake[i] = awake ? 1 : 0;
       }
+      if (awake) {
+        ++ch.awake;
+      }
       if (action.transmit) {
-        transmissions.push_back(Transmission{id, action.message});
+        ch.tx.push_back(Transmission{id, action.message});
         ++tx_count[i];
         ++tx_this_slot;
         CRMD_TRACE(config.tracer, obs::EventKind::kTransmit, now, id,
-                   static_cast<std::int64_t>(action.message.kind), 0,
-                   action.declared_prob, to_string(action.message.kind));
+                   static_cast<std::int64_t>(action.message.kind),
+                   static_cast<std::int64_t>(c), action.declared_prob,
+                   to_string(action.message.kind));
       } else if (awake) {
         ++listen_count[i];
         ++listen_this_slot;
       }
     }
     if (parked > 0) {
-      contention = slot_contention(ticking);
+      // Parked jobs all sit on channel 0: parking requires k = 1.
+      chans[0].contention = slot_contention(ticking);
+      chans[0].live += static_cast<std::uint32_t>(parked);
     }
     metrics.slots_transmitting += tx_this_slot;
     metrics.slots_listening += listen_this_slot;
     metrics.slots_awake += tx_this_slot + listen_this_slot;
     metrics.live_job_slots += static_cast<std::int64_t>(live.size());
+    metrics.live_peak = std::max<std::int64_t>(
+        metrics.live_peak, static_cast<std::int64_t>(live.size()));
 
-    // Channel resolution + capture + adversary (DESIGN.md §6i). Order:
-    // resolve -> freeze override -> capture draw -> jammer. A frozen slot
-    // (collision-cost recovery in progress) is noise for everyone no matter
-    // what was attempted; capture can leak one winner out of a fresh
-    // collision; the jammer acts last so an adaptive adversary can stomp a
-    // captured success. The jammer is not consulted on frozen slots — the
-    // channel is already noise, and jamming it would only waste budget.
-    const bool frozen = freeze_left > 0;
-    SlotFeedback fb = resolve_slot(transmissions);
-    JobId capture_winner = kNoJob;
-    bool jammed = false;
-    if (frozen) {
-      --freeze_left;
-      fb.outcome = SlotOutcome::kNoise;
-      fb.message.reset();
-      ++metrics.collision_cost_slots;
-      CRMD_TRACE(config.tracer, obs::EventKind::kCostSlot, now, kNoJob,
-                 freeze_left, static_cast<std::int64_t>(transmissions.size()),
-                 0.0, "cost");
-    } else {
-      if (config.feedback.kind == FeedbackKind::kCapture &&
-          config.feedback.alpha > 0.0 && transmissions.size() >= 2) {
-        // One winner survives a k-way collision with probability
-        // p_k = alpha^(k-1); the winner is drawn uniformly. Both draws come
-        // from the dedicated cap_rng stream, taken only on this path, so
-        // alpha = 0 leaves every other stream untouched.
-        const double p_win =
-            std::pow(config.feedback.alpha,
-                     static_cast<double>(transmissions.size() - 1));
-        if (cap_rng.bernoulli(p_win)) {
-          const std::size_t idx = static_cast<std::size_t>(cap_rng.below(
-              static_cast<std::uint64_t>(transmissions.size())));
-          fb.outcome = SlotOutcome::kSuccess;
-          fb.message = transmissions[idx].message;
-          capture_winner = transmissions[idx].job;
-        }
-      }
-      if (jammer != nullptr) {
-        const Message* msg = fb.message ? &*fb.message : nullptr;
-        if (jammer->wants_jam(now, fb.outcome, msg) &&
-            jam_rng.bernoulli(jammer->p_jam())) {
-          fb.outcome = SlotOutcome::kNoise;
-          fb.message.reset();
-          jammed = true;
-          capture_winner = kNoJob;  // the jam stomped the captured success
-        }
-      }
-      // A perceived collision — genuine, capture-lost, or jam-created —
-      // freezes the channel for the next cost-1 slots. Frozen slots never
-      // re-arm, so a burst costs `cost` slots total, not a cascade.
-      if (config.collision_cost > 1 && fb.outcome == SlotOutcome::kNoise) {
-        freeze_left = config.collision_cost - 1;
-      }
-    }
-    if (capture_winner != kNoJob) {
-      ++metrics.capture_wins;
-      CRMD_TRACE(config.tracer, obs::EventKind::kCaptureWin, now,
-                 capture_winner,
-                 static_cast<std::int64_t>(transmissions.size()), 0,
-                 config.feedback.alpha, "capture");
+    for (Channel& ch : chans) {
+      resolve_channel(ch);
     }
 
-    // Feedback phase. The feedback model projects the true outcome into a
-    // common listener view and (when transmitters perceive something
-    // different) a transmitter view; faults then perturb per listener. The
-    // true outcome `fb` stays authoritative for crediting below. All
-    // projection work is O(1) per slot plus — only when the views split —
-    // one O(transmitters) bitmap pass, so the per-listener "did I transmit"
-    // check is O(1) instead of a rescan. No allocation.
-    SlotFeedback listener_fb = fb;     // what a pure listener perceives
-    SlotFeedback transmitter_fb = fb;  // what a transmitter perceives
-    bool split = false;  // transmitter view differs from listener view
-    switch (config.feedback.kind) {
-      case FeedbackKind::kTernary:
-        // Legacy unadvertised ablation: listeners perceive noisy slots as
-        // silent; transmitters still learn their failure (ACK-style).
-        if (!config.collision_detection &&
-            fb.outcome == SlotOutcome::kNoise) {
-          listener_fb.outcome = SlotOutcome::kSilence;
-          listener_fb.message.reset();
-          split = true;
+    // Feedback phase. Each job hears its own channel's projection, perturbed
+    // per listener by faults; the true outcome stays authoritative for
+    // crediting below. Where a channel's views split, one O(transmitters)
+    // bitmap pass makes the per-listener "did I transmit" check O(1).
+    for (const Channel& ch : chans) {
+      if (ch.split) {
+        for (const Transmission& t : ch.tx) {
+          transmitted[ix(t.job)] = 1;
         }
-        break;
-      case FeedbackKind::kBinaryAck:
-        // Listeners hear nothing, ever; transmitters get the true outcome
-        // (their own success, or noise when their transmission failed).
-        listener_fb.outcome = SlotOutcome::kSilence;
-        listener_fb.message.reset();
-        split = !transmissions.empty();
-        break;
-      case FeedbackKind::kCollisionAsSilence:
-        // Empty and collided slots are indistinguishable for everyone —
-        // including the transmitters, who get no failure ACK.
-        if (fb.outcome == SlotOutcome::kNoise) {
-          listener_fb.outcome = SlotOutcome::kSilence;
-          listener_fb.message.reset();
-          transmitter_fb = listener_fb;
+        if (ch.capture_winner != kNoJob) {
+          // The winner hears its own success.
+          transmitted[ix(ch.capture_winner)] = 0;
         }
-        break;
-      case FeedbackKind::kNoisy:
-        // One seeded flip draw per simulated slot; on a flip every observer
-        // hears the same one-step-degraded outcome.
-        if (config.feedback.eps > 0.0 &&
-            fb_rng.bernoulli(config.feedback.eps)) {
-          listener_fb = degrade_feedback(fb);
-          transmitter_fb = listener_fb;
-          ++metrics.feedback_flips;
-        }
-        break;
-      case FeedbackKind::kCapture:
-        // On a captured success, listeners (and the winner, excluded from
-        // the transmitted bitmap below) hear the success; the k-1 losers
-        // perceive noise — their own signal drowned the broadcast out at
-        // their radio. Without a capture win the channel is exactly ternary.
-        if (capture_winner != kNoJob) {
-          transmitter_fb.outcome = SlotOutcome::kNoise;
-          transmitter_fb.message.reset();
-          split = true;
-        }
-        break;
-    }
-    if (split) {
-      for (const Transmission& t : transmissions) {
-        transmitted[ix(t.job)] = 1;
-      }
-      if (capture_winner != kNoJob) {
-        // The winner hears its own success.
-        transmitted[ix(capture_winner)] = 0;
       }
     }
     for (const JobId id : ticking) {
@@ -871,8 +783,9 @@ struct Simulation::Impl {
       if (injector != nullptr && dark[i] != 0) {
         continue;
       }
-      const bool sent = split && transmitted[i] != 0;
-      SlotFeedback perceived = sent ? transmitter_fb : listener_fb;
+      const Channel& ch = chans[multi ? chan[i] : 0];
+      const bool sent = ch.split && transmitted[i] != 0;
+      SlotFeedback perceived = sent ? ch.transmitter : ch.listener;
       if (injector != nullptr) {
         perceived = injector->perceive(id, now, perceived);
       }
@@ -892,221 +805,9 @@ struct Simulation::Impl {
       SlotView view{now - release[i] + skew, now + skew};
       proto[i]->on_feedback(view, perceived);
     }
-    if (split) {
-      for (const Transmission& t : transmissions) {
-        transmitted[ix(t.job)] = 0;
-      }
-    }
-
-    SlotRecord rec;
-    rec.slot = now;
-    rec.outcome = fb.outcome;
-    rec.success_kind = fb.message ? fb.message->kind : MessageKind::kData;
-    rec.contention = contention;
-    rec.transmitters = static_cast<std::uint32_t>(transmissions.size());
-    rec.live_jobs = static_cast<std::uint32_t>(live.size());
-    rec.jammed = jammed;
-    if (injector != nullptr) {
-      rec.faults = static_cast<std::uint32_t>(injector->total_injected() -
-                                              faults_before);
-    }
-    metrics.record(rec);
-    CRMD_TRACE(config.tracer, obs::EventKind::kSlotResolved, now, kNoJob,
-               static_cast<std::int64_t>(fb.outcome),
-               static_cast<std::int64_t>(transmissions.size()), contention,
-               to_string(fb.outcome));
-    // The listener-perceived companion event: what the feedback model let
-    // pure listeners hear this slot (before per-job fault perturbation),
-    // plus the live-set size and (in x) the awake job count — the per-slot
-    // energy datum obs::Timeline buckets. The gap between this and
-    // kSlotResolved is the channel's perception error.
-    CRMD_TRACE(config.tracer, obs::EventKind::kSlotPerceived, now, kNoJob,
-               static_cast<std::int64_t>(listener_fb.outcome),
-               static_cast<std::int64_t>(live.size()),
-               static_cast<double>(tx_this_slot + listen_this_slot),
-               to_string(listener_fb.outcome));
-    if (config.record_slots) {
-      slot_trace.push_back(rec);
-    }
-    if (observer) {
-      observer(rec, transmissions);
-    }
-
-    // Credit a delivered data message and retire finished jobs.
-    to_retire.clear();
-    if (fb.outcome == SlotOutcome::kSuccess &&
-        fb.message->kind == MessageKind::kData) {
-      const JobId winner = fb.message->sender;
-      assert(winner >= base_id && ix(winner) < job_count() &&
-             live_flag[ix(winner)] != 0);
-      CRMD_TRACE(config.tracer, obs::EventKind::kSuccessCredit, now, winner);
-      results[ix(winner)].success = true;
-      results[ix(winner)].success_slot = now;
-      to_retire.push_back(winner);
-    }
-    for (const JobId id : ticking) {
-      if (proto[ix(id)]->done() &&
-          (to_retire.empty() || to_retire.front() != id)) {
-        to_retire.push_back(id);
-      }
-    }
-    for (const JobId id : to_retire) {
-      retire(id);
-    }
-  }
-
-  // Multichannel pipeline (DESIGN.md §6j): one pass over the live set
-  // buckets decisions per channel, then each of the k sub-channels
-  // resolves, projects feedback, and records independently — k
-  // channel-slots of metrics per time slot, up to k winners per slot.
-  // Validation has already restricted the feedback model to
-  // ternary/binary_ack/collision_as_silence and rejected jammers, so there
-  // are no capture/jam/noisy draws here.
-  void step_multi(std::int64_t faults_before) {
-    const int k = config.multichannel.channels;
-    const auto kc = static_cast<std::size_t>(k);
-    if (chan_tx.size() != kc) {
-      chan_tx.resize(kc);
-      chan_fb.resize(kc);
-      chan_listener.resize(kc);
-      chan_transmitter.resize(kc);
-    }
-    for (auto& v : chan_tx) {
-      v.clear();
-    }
-    chan_contention.assign(kc, 0.0);
-    chan_live.assign(kc, 0);
-    chan_awake.assign(kc, 0);
-    chan_split.assign(kc, 0);
-
-    // Decision phase, bucketed by channel (live order within each bucket).
-    // Radio-state accounting mirrors step_single (DESIGN.md §6k).
-    for (const JobId id : live) {
-      const std::size_t i = ix(id);
-      ++live_slot_count[i];
-      const std::size_t c = chan[i];
-      ++chan_live[c];
-      if (injector != nullptr && dark[i] != 0) {
-        ++dark_slot_count[i];
-        continue;
-      }
-      const Slot skew = injector ? injector->skew(id) : 0;
-      SlotView view{now - release[i] + skew, now + skew};
-      const SlotAction action = proto[i]->on_slot(view);
-      chan_contention[c] += action.declared_prob;
-      const bool awake = action.transmit || !action.sleep;
-      asleep[i] = awake ? 0 : 1;
-      if (awake != (prev_awake[i] != 0)) {
-        CRMD_TRACE(config.tracer,
-                   awake ? obs::EventKind::kRadioWake
-                         : obs::EventKind::kRadioSleep,
-                   now, id, now - release[i],
-                   static_cast<std::int64_t>(c), 0.0,
-                   awake ? "wake" : "sleep");
-        prev_awake[i] = awake ? 1 : 0;
-      }
-      if (awake) {
-        ++chan_awake[c];
-      }
-      if (action.transmit) {
-        chan_tx[c].push_back(Transmission{id, action.message});
-        ++tx_count[i];
-        ++metrics.slots_transmitting;
-        ++metrics.slots_awake;
-        CRMD_TRACE(config.tracer, obs::EventKind::kTransmit, now, id,
-                   static_cast<std::int64_t>(action.message.kind),
-                   static_cast<std::int64_t>(c), action.declared_prob,
-                   to_string(action.message.kind));
-      } else if (awake) {
-        ++listen_count[i];
-        ++metrics.slots_listening;
-        ++metrics.slots_awake;
-      }
-    }
-    metrics.live_peak = std::max<std::int64_t>(
-        metrics.live_peak, static_cast<std::int64_t>(live.size()));
-    metrics.live_job_slots += static_cast<std::int64_t>(live.size());
-
-    // Per-channel resolution, freeze physics, and feedback projection.
-    bool any_split = false;
-    for (std::size_t c = 0; c < kc; ++c) {
-      SlotFeedback fb = resolve_slot(chan_tx[c]);
-      if (chan_freeze[c] > 0) {
-        --chan_freeze[c];
-        fb.outcome = SlotOutcome::kNoise;
-        fb.message.reset();
-        ++metrics.collision_cost_slots;
-        CRMD_TRACE(config.tracer, obs::EventKind::kCostSlot, now, kNoJob,
-                   chan_freeze[c],
-                   static_cast<std::int64_t>(chan_tx[c].size()), 0.0, "cost");
-      } else if (config.collision_cost > 1 &&
-                 fb.outcome == SlotOutcome::kNoise) {
-        chan_freeze[c] = config.collision_cost - 1;
-      }
-      SlotFeedback listener_fb = fb;
-      SlotFeedback transmitter_fb = fb;
-      bool split = false;
-      switch (config.feedback.kind) {
-        case FeedbackKind::kBinaryAck:
-          listener_fb.outcome = SlotOutcome::kSilence;
-          listener_fb.message.reset();
-          split = !chan_tx[c].empty();
-          break;
-        case FeedbackKind::kCollisionAsSilence:
-          if (fb.outcome == SlotOutcome::kNoise) {
-            listener_fb.outcome = SlotOutcome::kSilence;
-            listener_fb.message.reset();
-            transmitter_fb = listener_fb;
-          }
-          break;
-        case FeedbackKind::kTernary:
-        default:  // kNoisy/kCapture rejected by validate()
-          break;
-      }
-      chan_fb[c] = fb;
-      chan_listener[c] = listener_fb;
-      chan_transmitter[c] = transmitter_fb;
-      chan_split[c] = split ? 1 : 0;
-      any_split = any_split || split;
-    }
-
-    // Feedback phase: every live, non-dark job hears its own channel.
-    if (any_split) {
-      for (std::size_t c = 0; c < kc; ++c) {
-        if (chan_split[c] == 0) {
-          continue;
-        }
-        for (const Transmission& t : chan_tx[c]) {
-          transmitted[ix(t.job)] = 1;
-        }
-      }
-    }
-    for (const JobId id : live) {
-      const std::size_t i = ix(id);
-      if (injector != nullptr && dark[i] != 0) {
-        continue;
-      }
-      const std::size_t c = chan[i];
-      const bool sent = chan_split[c] != 0 && transmitted[i] != 0;
-      SlotFeedback perceived = sent ? chan_transmitter[c] : chan_listener[c];
-      if (injector != nullptr) {
-        perceived = injector->perceive(id, now, perceived);
-      }
-      if (asleep[i] != 0) {
-        // Sleep scrub — see step_single (DESIGN.md §6k).
-        perceived.outcome = SlotOutcome::kSilence;
-        perceived.message.reset();
-      }
-      const Slot skew = injector ? injector->skew(id) : 0;
-      SlotView view{now - release[i] + skew, now + skew};
-      proto[i]->on_feedback(view, perceived);
-    }
-    if (any_split) {
-      for (std::size_t c = 0; c < kc; ++c) {
-        if (chan_split[c] == 0) {
-          continue;
-        }
-        for (const Transmission& t : chan_tx[c]) {
+    for (const Channel& ch : chans) {
+      if (ch.split) {
+        for (const Transmission& t : ch.tx) {
           transmitted[ix(t.job)] = 0;
         }
       }
@@ -1114,71 +815,76 @@ struct Simulation::Impl {
 
     // Record one channel-slot per channel. The fault-count delta of the
     // time slot is charged to channel 0's record so sums stay exact.
-    for (std::size_t c = 0; c < kc; ++c) {
+    for (std::size_t c = 0; c < chans.size(); ++c) {
+      const Channel& ch = chans[c];
       SlotRecord rec;
       rec.slot = now;
-      rec.outcome = chan_fb[c].outcome;
+      rec.outcome = ch.truth.outcome;
       rec.success_kind =
-          chan_fb[c].message ? chan_fb[c].message->kind : MessageKind::kData;
-      rec.contention = chan_contention[c];
-      rec.transmitters = static_cast<std::uint32_t>(chan_tx[c].size());
-      rec.live_jobs = chan_live[c];
-      rec.jammed = false;
+          ch.truth.message ? ch.truth.message->kind : MessageKind::kData;
+      rec.contention = ch.contention;
+      rec.transmitters = static_cast<std::uint32_t>(ch.tx.size());
+      rec.live_jobs = ch.live;
+      rec.jammed = ch.jammed;
       if (c == 0 && injector != nullptr) {
         rec.faults = static_cast<std::uint32_t>(injector->total_injected() -
                                                 faults_before);
       }
       metrics.record(rec);
       CRMD_TRACE(config.tracer, obs::EventKind::kSlotResolved, now, kNoJob,
-                 static_cast<std::int64_t>(chan_fb[c].outcome),
-                 static_cast<std::int64_t>(chan_tx[c].size()),
-                 chan_contention[c], to_string(chan_fb[c].outcome));
-      CRMD_TRACE(config.tracer, obs::EventKind::kSlotPerceived, now,
-                 kNoJob, static_cast<std::int64_t>(chan_listener[c].outcome),
-                 static_cast<std::int64_t>(chan_live[c]),
-                 static_cast<double>(chan_awake[c]),
-                 to_string(chan_listener[c].outcome));
+                 static_cast<std::int64_t>(ch.truth.outcome),
+                 static_cast<std::int64_t>(ch.tx.size()), ch.contention,
+                 to_string(ch.truth.outcome));
+      // The listener-perceived companion event: what the feedback model let
+      // pure listeners hear this slot (before per-job fault perturbation),
+      // plus the channel's live-set size and (in x) its awake job count —
+      // the per-slot energy datum obs::Timeline buckets. The gap between
+      // this and kSlotResolved is the channel's perception error.
+      CRMD_TRACE(config.tracer, obs::EventKind::kSlotPerceived, now, kNoJob,
+                 static_cast<std::int64_t>(ch.listener.outcome),
+                 static_cast<std::int64_t>(ch.live),
+                 static_cast<double>(ch.awake),
+                 to_string(ch.listener.outcome));
       if (config.record_slots) {
         slot_trace.push_back(rec);
       }
       if (observer) {
-        observer(rec, chan_tx[c]);
+        observer(rec, ch.tx);
       }
     }
 
-    // Collision accounting + optional migration: a transmitter whose
-    // channel resolved (or froze) to noise suffered a collision; after
-    // every migrate_after of them it rehashes deterministically — keyed on
-    // (seed, id, collision count), no RNG stream — onto a fresh channel.
-    for (std::size_t c = 0; c < kc; ++c) {
-      if (chan_fb[c].outcome != SlotOutcome::kNoise) {
-        continue;
-      }
-      for (const Transmission& t : chan_tx[c]) {
-        const std::size_t i = ix(t.job);
-        ++coll_count[i];
-        if (config.multichannel.migrate &&
-            coll_count[i] %
-                    static_cast<std::uint32_t>(
-                        config.multichannel.migrate_after) ==
-                0) {
-          chan[i] = static_cast<std::uint8_t>(shard_of(
-              config.seed,
-              (static_cast<std::uint64_t>(coll_count[i]) << 32) |
-                  static_cast<std::uint64_t>(t.job),
-              k));
+    // Migration: a transmitter whose channel resolved (or froze) to noise
+    // suffered a collision; after every migrate_after of them it rehashes
+    // deterministically — keyed on (seed, id, collision count), no RNG
+    // stream — onto a fresh channel. Nothing else reads the counts.
+    if (config.multichannel.migrate) {
+      const auto every =
+          static_cast<std::uint32_t>(config.multichannel.migrate_after);
+      for (const Channel& ch : chans) {
+        if (ch.truth.outcome != SlotOutcome::kNoise) {
+          continue;
+        }
+        for (const Transmission& t : ch.tx) {
+          const std::size_t i = ix(t.job);
+          if (++coll_count[i] % every == 0) {
+            chan[i] = static_cast<std::uint8_t>(shard_of(
+                config.seed,
+                (static_cast<std::uint64_t>(coll_count[i]) << 32) |
+                    static_cast<std::uint64_t>(t.job),
+                config.multichannel.channels));
+          }
         }
       }
     }
 
     // Credit up to one delivered data message per channel, then retire
-    // finished jobs (several winners can retire in one slot, so membership
-    // in to_retire is checked by scan — it holds at most k + done ids).
+    // finished jobs. The winners head to_retire, so the done() check only
+    // has to skip those <= k ids.
     to_retire.clear();
-    for (std::size_t c = 0; c < kc; ++c) {
-      if (chan_fb[c].outcome == SlotOutcome::kSuccess &&
-          chan_fb[c].message->kind == MessageKind::kData) {
-        const JobId winner = chan_fb[c].message->sender;
+    for (const Channel& ch : chans) {
+      if (ch.truth.outcome == SlotOutcome::kSuccess &&
+          ch.truth.message->kind == MessageKind::kData) {
+        const JobId winner = ch.truth.message->sender;
         assert(winner >= base_id && ix(winner) < job_count() &&
                live_flag[ix(winner)] != 0);
         CRMD_TRACE(config.tracer, obs::EventKind::kSuccessCredit, now,
@@ -1188,15 +894,136 @@ struct Simulation::Impl {
         to_retire.push_back(winner);
       }
     }
-    for (const JobId id : live) {
+    const auto winners = static_cast<std::ptrdiff_t>(to_retire.size());
+    for (const JobId id : ticking) {
       if (proto[ix(id)]->done() &&
-          std::find(to_retire.begin(), to_retire.end(), id) ==
-              to_retire.end()) {
+          std::find(to_retire.begin(), to_retire.begin() + winners, id) ==
+              to_retire.begin() + winners) {
         to_retire.push_back(id);
       }
     }
     for (const JobId id : to_retire) {
       retire(id);
+    }
+  }
+
+  // Channel resolution, physics and feedback projection of one channel
+  // (DESIGN.md §6i). Order: resolve -> freeze override -> capture draw ->
+  // jammer. A frozen slot (collision-cost recovery in progress) is noise for
+  // everyone no matter what was attempted; capture can leak one winner out
+  // of a fresh collision; the jammer acts last so an adaptive adversary can
+  // stomp a captured success. The jammer is not consulted on frozen slots —
+  // the channel is already noise, and jamming it would only waste budget.
+  // Capture, the jammer and the noisy model are single-channel only
+  // (validation), so their RNG streams are drawn in channel-0 order.
+  void resolve_channel(Channel& ch) {
+    ch.truth = resolve_slot(ch.tx);
+    ch.capture_winner = kNoJob;
+    ch.jammed = false;
+    SlotFeedback& fb = ch.truth;
+    if (ch.freeze > 0) {
+      --ch.freeze;
+      fb.outcome = SlotOutcome::kNoise;
+      fb.message.reset();
+      ++metrics.collision_cost_slots;
+      CRMD_TRACE(config.tracer, obs::EventKind::kCostSlot, now, kNoJob,
+                 ch.freeze, static_cast<std::int64_t>(ch.tx.size()), 0.0,
+                 "cost");
+    } else {
+      if (config.feedback.kind == FeedbackKind::kCapture &&
+          config.feedback.alpha > 0.0 && ch.tx.size() >= 2) {
+        // One winner survives a k-way collision with probability
+        // p_k = alpha^(k-1); the winner is drawn uniformly. Both draws come
+        // from the dedicated cap_rng stream, taken only on this path, so
+        // alpha = 0 leaves every other stream untouched.
+        const double p_win = std::pow(
+            config.feedback.alpha, static_cast<double>(ch.tx.size() - 1));
+        if (cap_rng.bernoulli(p_win)) {
+          const std::size_t idx = static_cast<std::size_t>(
+              cap_rng.below(static_cast<std::uint64_t>(ch.tx.size())));
+          fb.outcome = SlotOutcome::kSuccess;
+          fb.message = ch.tx[idx].message;
+          ch.capture_winner = ch.tx[idx].job;
+        }
+      }
+      if (jammer != nullptr) {
+        const Message* msg = fb.message ? &*fb.message : nullptr;
+        if (jammer->wants_jam(now, fb.outcome, msg) &&
+            jam_rng.bernoulli(jammer->p_jam())) {
+          fb.outcome = SlotOutcome::kNoise;
+          fb.message.reset();
+          ch.jammed = true;
+          ch.capture_winner = kNoJob;  // the jam stomped the captured success
+        }
+      }
+      // A perceived collision — genuine, capture-lost, or jam-created —
+      // freezes the channel for the next cost-1 slots. Frozen slots never
+      // re-arm, so a burst costs `cost` slots total, not a cascade.
+      if (config.collision_cost > 1 && fb.outcome == SlotOutcome::kNoise) {
+        ch.freeze = config.collision_cost - 1;
+      }
+    }
+    if (ch.capture_winner != kNoJob) {
+      ++metrics.capture_wins;
+      CRMD_TRACE(config.tracer, obs::EventKind::kCaptureWin, now,
+                 ch.capture_winner, static_cast<std::int64_t>(ch.tx.size()),
+                 0, config.feedback.alpha, "capture");
+    }
+
+    // The feedback model projects the true outcome into a common listener
+    // view and (when transmitters perceive something different) a
+    // transmitter view. O(1), no allocation.
+    ch.listener = fb;
+    ch.transmitter = fb;
+    ch.split = false;
+    switch (config.feedback.kind) {
+      case FeedbackKind::kTernary:
+        // Legacy unadvertised ablation: listeners perceive noisy slots as
+        // silent; transmitters still learn their failure (ACK-style).
+        if (!config.collision_detection &&
+            fb.outcome == SlotOutcome::kNoise) {
+          ch.listener.outcome = SlotOutcome::kSilence;
+          ch.listener.message.reset();
+          ch.split = true;
+        }
+        break;
+      case FeedbackKind::kBinaryAck:
+        // Listeners hear nothing, ever; transmitters get the true outcome
+        // (their own success, or noise when their transmission failed).
+        ch.listener.outcome = SlotOutcome::kSilence;
+        ch.listener.message.reset();
+        ch.split = !ch.tx.empty();
+        break;
+      case FeedbackKind::kCollisionAsSilence:
+        // Empty and collided slots are indistinguishable for everyone —
+        // including the transmitters, who get no failure ACK.
+        if (fb.outcome == SlotOutcome::kNoise) {
+          ch.listener.outcome = SlotOutcome::kSilence;
+          ch.listener.message.reset();
+          ch.transmitter = ch.listener;
+        }
+        break;
+      case FeedbackKind::kNoisy:
+        // One seeded flip draw per simulated slot; on a flip every observer
+        // hears the same one-step-degraded outcome.
+        if (config.feedback.eps > 0.0 &&
+            fb_rng.bernoulli(config.feedback.eps)) {
+          ch.listener = degrade_feedback(fb);
+          ch.transmitter = ch.listener;
+          ++metrics.feedback_flips;
+        }
+        break;
+      case FeedbackKind::kCapture:
+        // On a captured success, listeners (and the winner, excluded from
+        // the transmitted bitmap) hear the success; the k-1 losers perceive
+        // noise — their own signal drowned the broadcast out at their
+        // radio. Without a capture win the channel is exactly ternary.
+        if (ch.capture_winner != kNoJob) {
+          ch.transmitter.outcome = SlotOutcome::kNoise;
+          ch.transmitter.message.reset();
+          ch.split = true;
+        }
+        break;
     }
   }
 
@@ -1220,10 +1047,7 @@ struct Simulation::Impl {
       injector->set_record_events(config.record_slots);
       injector->set_tracer(config.tracer);
     }
-    if (config.multichannel.channels > 1) {
-      chan_freeze.assign(
-          static_cast<std::size_t>(config.multichannel.channels), 0);
-    }
+    chans.resize(static_cast<std::size_t>(config.multichannel.channels));
     ff_enabled =
         config.fast_forward != FastForward::kOff && jammer == nullptr &&
         !config.faults.any() &&
@@ -1264,14 +1088,12 @@ Simulation::Simulation(workload::Instance instance,
   s.asleep.assign(n, 0);
   s.ff_until.assign(n, 0);
   s.ff_prob.assign(n, 0.0);
-  if (s.config.multichannel.channels > 1) {
-    s.chan.reserve(n);
-    s.coll_count.assign(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      s.chan.push_back(static_cast<std::uint8_t>(
-          shard_of(s.config.seed, static_cast<JobId>(i),
-                   s.config.multichannel.channels)));
-    }
+  s.chan.reserve(n);
+  s.coll_count.assign(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    s.chan.push_back(static_cast<std::uint8_t>(
+        shard_of(s.config.seed, static_cast<JobId>(i),
+                 s.config.multichannel.channels)));
   }
   s.arena_owned = factory.arena_aware();
   for (std::size_t i = 0; i < n; ++i) {
@@ -1374,9 +1196,8 @@ bool Simulation::step() {
       // nobody is live to observe the frozen slots, so they are not
       // simulated (and not counted as cost slots).
       const Slot gap = next_release - s.now;
-      s.freeze_left = std::max<Slot>(0, s.freeze_left - gap);
-      for (Slot& f : s.chan_freeze) {
-        f = std::max<Slot>(0, f - gap);
+      for (Impl::Channel& ch : s.chans) {
+        ch.freeze = std::max<Slot>(0, ch.freeze - gap);
       }
       s.metrics.slots_skipped += gap;
       s.now = next_release;
@@ -1519,11 +1340,7 @@ bool Simulation::step() {
     }
   }
 
-  if (s.config.multichannel.channels > 1) {
-    s.step_multi(faults_before);
-  } else {
-    s.step_single(faults_before);
-  }
+  s.step_slot(faults_before);
 
   ++s.now;
   if (s.streaming()) {

@@ -20,17 +20,58 @@
 /// \file simulator.hpp
 /// Slot-driven simulation of the multiple-access channel.
 ///
-/// Each slot: (1) jobs whose release time arrives become live and their
-/// protocols activate; (2) the fault injector (when configured) advances
-/// each live job's crash/stall/skew state; (3) every live, non-dark
-/// protocol decides its action; (4) the channel resolves (0 transmissions
-/// -> silence, 1 -> success, >=2 -> noise); (5) the jamming adversary may
-/// turn the slot into noise; (6) every live, non-dark job observes the
-/// feedback — filtered per listener through the fault injector; (7) jobs
-/// that delivered their data message, report done(), or hit their deadline
-/// leave the live set. Idle gaps with no live jobs are skipped in O(1).
-/// Success crediting always uses the *true* channel outcome; faults perturb
-/// only what protocols perceive.
+/// One time slot spans k sub-channels (SimConfig::multichannel); k = 1 is
+/// the paper's channel, and every job sits on exactly one channel. This is
+/// the authoritative slot order, which tests/reference_sim.hpp follows
+/// step by step:
+///
+///  1. Idle gap: while no job is live, `now` jumps to the next release.
+///     The gap's slots count as slots_skipped (never simulated), and any
+///     armed collision-cost freeze runs down across them.
+///  2. The run ends once `now` reaches the horizon.
+///  3. Activation: jobs whose release arrived become live in id order and
+///     their protocols activate. A job whose window is already over never
+///     activates.
+///  4. Wakeups (fast-forward only): parked jobs whose dormancy promise
+///     ended, or whose deadline arrived, become awake again.
+///  5. Deadline retirement: live jobs with deadline <= now leave, in live
+///     order. If none is left, the slot is not simulated.
+///  6. Parking (fast-forward only): awake jobs holding a dormancy promise
+///     are parked. If no job is left awake, the whole provably silent run
+///     up to the next event is accounted at once and `now` jumps past it.
+///  7. Faults: the fault injector advances each live job's crash, stall
+///     and skew state in live order. Dead jobs retire; dark jobs sit out
+///     the slot. If none is left, the slot is not simulated.
+///  8. Decisions: each live job that is neither parked nor dark decides in
+///     live order, bucketed by its channel. A channel's contention C(t) sums
+///     the declared probabilities of its jobs (parked jobs add their
+///     promised one). A transmitter or a job that does not declare sleep
+///     is awake (listening or transmitting); the rest sleep (DESIGN.md
+///     §6k).
+///  9. Channels, in channel order: resolve (0 transmissions -> silence,
+///     1 -> success, >= 2 -> noise); then a frozen channel is forced to
+///     noise, else capture may leak one winner, then the jammer may turn
+///     the slot into noise, and a perceived collision arms the freeze
+///     (DESIGN.md §6i); then the feedback model projects the true outcome
+///     into a listener view and a transmitter view (channel.hpp).
+/// 10. Feedback: each live job that is neither parked nor dark observes its
+///     own channel, in live order: the transmitter view if it transmitted on a channel whose
+///     views differ (and did not win a capture), else the listener view.
+///     The fault injector then filters it per listener, and a job that
+///     declared sleep hears silence whatever the channel did.
+/// 11. Records: one SlotRecord per channel feeds SimMetrics, record_slots
+///     and the SlotObserver. The slot's fault count goes to channel 0.
+/// 12. Migration (with MultiChannelConfig::migrate): a transmitter on a
+///     channel that ended in noise counts a collision, and rehashes onto a
+///     fresh channel after every `migrate_after` of them.
+/// 13. Credit and retirement: each channel's delivered data message credits
+///     its sender. The winners, then the unparked jobs reporting done() in
+///     live order, leave the live set.
+///
+/// Success crediting always uses the *true* channel outcome; feedback
+/// models and faults change only what protocols perceive. The jammer, the
+/// capture and noisy feedback models, the legacy collision_detection
+/// ablation and fast-forward all require k = 1.
 ///
 /// Engine layout (DESIGN.md §6e): per-job state is a hot structure-of-arrays
 /// (release/deadline/protocol/live flags) plus cold JobResults; protocols
@@ -91,8 +132,8 @@ enum class FastForward {
 /// multichannel.hpp shard_of). One simulated time slot resolves all k
 /// channels — slots_simulated counts channel-slots, i.e. k per time slot.
 struct MultiChannelConfig {
-  /// Number of sub-channels; 1 = the paper's single channel (and the
-  /// engine's unchanged hot path).
+  /// Number of sub-channels; 1 = the paper's single channel. Every k runs
+  /// the same slot pipeline, of which k = 1 is the paper's case.
   int channels = 1;
   /// When true, a job rehashes onto a fresh channel after every
   /// `migrate_after` collisions it suffers (deterministic rehash keyed on
@@ -166,11 +207,11 @@ struct SimConfig {
   FastForward fast_forward = FastForward::kOff;
 
   /// Multi-channel scenario (see MultiChannelConfig). The default single
-  /// channel takes the engine's unchanged hot path. With channels > 1 the
-  /// feedback model must be ternary, binary_ack, or collision_as_silence
-  /// (validate() rejects the noisy/capture models and the legacy
-  /// collision_detection ablation), fast-forward is disabled, and the
-  /// Simulation ctor rejects a jammer — v1 scope, DESIGN.md §6j.
+  /// channel is the paper's. With channels > 1 the feedback model must be
+  /// ternary, binary_ack, or collision_as_silence (validate() rejects the
+  /// noisy/capture models and the legacy collision_detection ablation),
+  /// fast-forward is disabled, and the Simulation ctor rejects a jammer —
+  /// v1 scope, DESIGN.md §6j.
   MultiChannelConfig multichannel;
 
   /// Streaming-mode compaction threshold (slots engine memory tolerates
