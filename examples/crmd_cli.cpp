@@ -13,6 +13,7 @@
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 
 #include "analysis/runner.hpp"
 #include "core/registry.hpp"
@@ -152,8 +153,7 @@ int main(int argc, char** argv) {
   params.energy_listen_after_failure =
       args.get_int("energy-carrier-sense",
                    params.energy_listen_after_failure ? 1 : 0) != 0;
-  const auto factory = core::make_protocol(protocol, params);
-  if (!factory) {
+  if (!core::is_protocol(protocol)) {
     std::cerr << "unknown protocol '" << protocol << "' (try --list)\n";
     return 2;
   }
@@ -245,6 +245,32 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // The one simulation config of this invocation: the single traced run
+  // uses it as is, the replicated sweep the same channel settings.
+  sim::SimConfig config;
+  config.seed = seed;
+  config.feedback = *feedback;
+  config.collision_cost = *collision_cost;
+  config.fast_forward = *fast_forward;
+  config.multichannel = *channels;
+  config.faults.feedback_corrupt_rate = args.get_double("fault-corrupt", 0);
+  config.faults.feedback_loss_rate = args.get_double("fault-loss", 0);
+  config.faults.crash_rate = args.get_double("fault-crash", 0);
+  // Reject every bad value before any run: one error line and exit 2, never
+  // an exception escaping a worker thread.
+  try {
+    params.validate();
+    config.validate();
+    if (!arrivals && workload == "batch" && window < 1) {
+      throw std::invalid_argument("--window must be >= 1, got " +
+                                  std::to_string(window));
+    }
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
+  const auto factory = core::make_protocol(protocol, params);
+
   // Optional single-run trace exports (separate from the replicated sweep).
   const std::string trace_path = args.get("trace", "");
   const std::string jobs_path = args.get("jobs-csv", "");
@@ -262,16 +288,7 @@ int main(int argc, char** argv) {
   if (!trace_path.empty() || !jobs_path.empty() || !faults_path.empty() ||
       !events_path.empty() || !jsonl_path.empty() || watchdog_on) {
     util::Rng rng(seed);
-    sim::SimConfig config;
-    config.seed = seed;
-    config.feedback = *feedback;
-    config.collision_cost = *collision_cost;
-    config.fast_forward = *fast_forward;
-    config.multichannel = *channels;
     config.record_slots = !trace_path.empty() || !faults_path.empty();
-    config.faults.feedback_corrupt_rate = args.get_double("fault-corrupt", 0);
-    config.faults.feedback_loss_rate = args.get_double("fault-loss", 0);
-    config.faults.crash_rate = args.get_double("fault-crash", 0);
     std::unique_ptr<obs::Tracer> tracer;
     std::shared_ptr<obs::Watchdog> watchdog;
     if (!events_path.empty() || !jsonl_path.empty() || watchdog_on) {
