@@ -114,9 +114,7 @@ void warn_if_dropped(const obs::Tracer& tracer) {
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_cli(int argc, char** argv) {
   const util::Args args(argc, argv);
   if (args.has("list")) {
     for (const auto& info : core::protocol_catalog()) {
@@ -264,6 +262,15 @@ int main(int argc, char** argv) {
     if (!arrivals && workload == "batch" && window < 1) {
       throw std::invalid_argument("--window must be >= 1, got " +
                                   std::to_string(window));
+    }
+    // The generators assert both; a NaN fails these tests too.
+    if (!(gamma > 0.0 && gamma <= 1.0)) {
+      throw std::invalid_argument("--gamma must be in (0, 1], got " +
+                                  args.get("gamma", ""));
+    }
+    if (!(fill > 0.0 && fill <= 1.0)) {
+      throw std::invalid_argument("--fill must be in (0, 1], got " +
+                                  args.get("fill", ""));
     }
   } catch (const std::invalid_argument& e) {
     std::cerr << "error: " << e.what() << "\n";
@@ -442,4 +449,18 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // What run_cli's up-front checks cannot see — an unreadable trace file,
+  // a protocol rejecting the workload's windows — still surfaces as one
+  // error line and exit 2, never as an uncaught exception.
+  try {
+    return run_cli(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -1,7 +1,6 @@
 #include "core/aligned/estimation.hpp"
 
 #include <cassert>
-#include <cmath>
 
 #include "util/math.hpp"
 
@@ -13,28 +12,6 @@ EstimationState::EstimationState(const Params& params, int level)
       tau_(params.tau),
       successes_(static_cast<std::size_t>(level), 0) {
   assert(level >= 1);
-}
-
-bool EstimationState::complete() const noexcept {
-  return steps_ >= phase_len_ * level_;
-}
-
-int EstimationState::current_phase() const noexcept {
-  assert(!complete());
-  return static_cast<int>(steps_ / phase_len_) + 1;
-}
-
-double EstimationState::tx_probability() const noexcept {
-  const int phase = current_phase();
-  return std::ldexp(1.0, -phase);  // 1 / 2^phase
-}
-
-void EstimationState::record(sim::SlotOutcome outcome) {
-  assert(!complete());
-  if (outcome == sim::SlotOutcome::kSuccess) {
-    ++successes_[static_cast<std::size_t>(current_phase() - 1)];
-  }
-  ++steps_;
 }
 
 std::int64_t EstimationState::estimate() const {

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cassert>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -32,20 +34,38 @@ class EstimationState {
   EstimationState(const Params& params, int level);
 
   /// True once all λℓ² steps have been observed.
-  [[nodiscard]] bool complete() const noexcept;
+  [[nodiscard]] bool complete() const noexcept { return phase_ > level_; }
 
   /// Active steps observed so far (0 .. λℓ²).
-  [[nodiscard]] std::int64_t steps_taken() const noexcept { return steps_; }
+  [[nodiscard]] std::int64_t steps_taken() const noexcept {
+    return (phase_ - 1) * phase_len_ + step_in_phase_;
+  }
 
   /// 1-based phase of the *next* active step. Only valid while !complete().
-  [[nodiscard]] int current_phase() const noexcept;
+  [[nodiscard]] int current_phase() const noexcept {
+    assert(!complete());
+    return phase_;
+  }
 
   /// Transmission probability class members use in the next active step
   /// (1/2^phase). Only valid while !complete().
-  [[nodiscard]] double tx_probability() const noexcept;
+  [[nodiscard]] double tx_probability() const noexcept {
+    assert(!complete());
+    return tx_prob_;
+  }
 
   /// Observes one active step's outcome and advances.
-  void record(sim::SlotOutcome outcome);
+  void record(sim::SlotOutcome outcome) {
+    assert(!complete());
+    if (outcome == sim::SlotOutcome::kSuccess) {
+      ++successes_[static_cast<std::size_t>(phase_ - 1)];
+    }
+    if (++step_in_phase_ == phase_len_) {
+      step_in_phase_ = 0;
+      ++phase_;
+      tx_prob_ = std::ldexp(1.0, -phase_);
+    }
+  }
 
   /// The estimate n_ℓ = τ·2^j (0 when no phase saw a success). Only valid
   /// once complete().
@@ -58,7 +78,11 @@ class EstimationState {
   int level_;
   std::int64_t phase_len_;
   std::int64_t tau_;
-  std::int64_t steps_ = 0;
+  // The step counter kept as (phase, step within it), so the per-step
+  // path needs no division; tx_prob_ = 1/2^phase_ follows each phase.
+  int phase_ = 1;
+  std::int64_t step_in_phase_ = 0;
+  double tx_prob_ = 0.5;
   std::vector<std::int64_t> successes_;  // [phase-1]
 };
 

@@ -1,8 +1,8 @@
 #include "core/aligned/tracker.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
-
-#include "util/math.hpp"
 
 namespace crmd::core::aligned {
 
@@ -10,16 +10,6 @@ Tracker::Tracker(const Params& params, int min_class, int own_class)
     : params_(params), min_class_(min_class), own_class_(own_class) {
   assert(1 <= min_class && min_class <= own_class);
   classes_.resize(static_cast<std::size_t>(own_class - min_class) + 1);
-}
-
-Tracker::ClassState& Tracker::state(int cls) {
-  assert(cls >= min_class_ && cls <= own_class_);
-  return classes_[static_cast<std::size_t>(cls - min_class_)];
-}
-
-const Tracker::ClassState& Tracker::state(int cls) const {
-  assert(cls >= min_class_ && cls <= own_class_);
-  return classes_[static_cast<std::size_t>(cls - min_class_)];
 }
 
 void Tracker::reset_class(int cls) {
@@ -41,16 +31,21 @@ void Tracker::begin_slot(Slot t) {
   const Slot prev = last_slot_;
   last_slot_ = t;
 
-  for (int cls = min_class_; cls <= own_class_; ++cls) {
-    // Reset iff a window boundary (multiple of 2^cls) lies in (prev, t].
-    // On the first call every tracked class starts fresh; fault-free, the
-    // first slot is the owning job's window start — a boundary for every
-    // tracked (smaller) class — and later slots are consecutive, so this
-    // reduces exactly to the textbook "reset when t % 2^cls == 0" rule.
-    const Slot w = util::pow2(cls);
-    if (first || t / w > prev / w) {
-      reset_class(cls);
-    }
+  // Reset iff a window boundary (multiple of 2^cls) lies in (prev, t],
+  // i.e. iff t >> cls > prev >> cls. As 0 <= prev < t, that holds exactly
+  // for the classes up to the highest bit in which t and prev differ, so
+  // one bit scan finds them all, with no division. On the first call every
+  // tracked class starts fresh; fault-free, the first slot is the owning
+  // job's window start — a boundary for every tracked (smaller) class —
+  // and later slots are consecutive, so this reduces exactly to the
+  // textbook "reset when t % 2^cls == 0" rule.
+  int top = own_class_;
+  if (!first) {
+    const auto diff = static_cast<std::uint64_t>(t ^ prev);
+    top = std::min(top, static_cast<int>(std::bit_width(diff)) - 1);
+  }
+  for (int cls = min_class_; cls <= top; ++cls) {
+    reset_class(cls);
   }
   active_ = -1;
   for (int cls = min_class_; cls <= own_class_; ++cls) {
@@ -85,18 +80,6 @@ void Tracker::end_slot(sim::SlotOutcome outcome) {
   if (c.broadcast_step >= c.broadcast->total_steps()) {
     c.complete = true;
   }
-}
-
-Tracker::ClassView Tracker::view(int cls) const {
-  const ClassState& c = state(cls);
-  ClassView v;
-  v.estimating = c.estimation.has_value();
-  v.estimation = c.estimation.has_value() ? &*c.estimation : nullptr;
-  v.broadcast = c.broadcast.has_value() ? &*c.broadcast : nullptr;
-  v.broadcast_step = c.broadcast_step;
-  v.estimate = c.estimate;
-  v.complete = c.complete;
-  return v;
 }
 
 }  // namespace crmd::core::aligned

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -73,7 +74,17 @@ class Tracker {
   };
 
   /// Snapshot of class `cls` (min_class <= cls <= own_class).
-  [[nodiscard]] ClassView view(int cls) const;
+  [[nodiscard]] ClassView view(int cls) const {
+    const ClassState& c = state(cls);
+    ClassView v;
+    v.estimating = c.estimation.has_value();
+    v.estimation = c.estimation.has_value() ? &*c.estimation : nullptr;
+    v.broadcast = c.broadcast.has_value() ? &*c.broadcast : nullptr;
+    v.broadcast_step = c.broadcast_step;
+    v.estimate = c.estimate;
+    v.complete = c.complete;
+    return v;
+  }
 
   [[nodiscard]] int min_class() const noexcept { return min_class_; }
   [[nodiscard]] int own_class() const noexcept { return own_class_; }
@@ -88,8 +99,14 @@ class Tracker {
   };
 
   void reset_class(int cls);
-  [[nodiscard]] ClassState& state(int cls);
-  [[nodiscard]] const ClassState& state(int cls) const;
+  [[nodiscard]] ClassState& state(int cls) {
+    assert(cls >= min_class_ && cls <= own_class_);
+    return classes_[static_cast<std::size_t>(cls - min_class_)];
+  }
+  [[nodiscard]] const ClassState& state(int cls) const {
+    assert(cls >= min_class_ && cls <= own_class_);
+    return classes_[static_cast<std::size_t>(cls - min_class_)];
+  }
 
   Params params_;
   int min_class_;

@@ -21,6 +21,7 @@ void NocdProtocol::on_activate(const sim::JobInfo& info) {
   // exponent down in O(log w) epochs.
   k_init_ = k_max_;
   k_ = k_init_;
+  base_p_ = std::min(std::exp2(-k_), params_.max_tx_prob);
   // Stagger the epoch phase per job (one activation-time draw, identical
   // across feedback models). Without it every job shares the same epoch
   // boundaries AND the same perceived successes, so the whole population
@@ -34,7 +35,7 @@ void NocdProtocol::on_activate(const sim::JobInfo& info) {
 }
 
 double NocdProtocol::tx_prob(Slot remaining) const noexcept {
-  const double base = std::min(std::exp2(-k_), params_.max_tx_prob);
+  const double base = base_p_;
   double p = base;
   // Deadline-aware floor: bounded-ratio retry with aging, endgame only.
   // While at least one full density sweep of laxity remains, the wrapping
@@ -97,6 +98,7 @@ void NocdProtocol::set_exponent(int next, Slot global_slot) {
   CRMD_TRACE(obs_, obs::EventKind::kEstimate, global_slot, info_.id, k_,
              next);
   k_ = next;
+  base_p_ = std::min(std::exp2(-k_), params_.max_tx_prob);
 }
 
 void NocdProtocol::end_epoch(Slot global_slot) {

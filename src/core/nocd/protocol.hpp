@@ -101,6 +101,8 @@ class NocdProtocol final : public sim::Protocol {
   /// per-collision backoff replaces listener-driven drain accounting.
   bool ack_mode_ = false;
   int k_ = 0;
+  /// min(2^-k_, max_tx_prob), recomputed wherever k_ changes.
+  double base_p_ = 0.0;
   int k_init_ = 0;
   int k_max_ = 0;
   std::int64_t epoch_slot_ = 0;

@@ -13,7 +13,7 @@ PunctualProtocol::PunctualProtocol(const Params& params, util::Rng rng)
 
 void PunctualProtocol::on_activate(const sim::JobInfo& info) {
   info_ = info;
-  effective_window_ = info.window();
+  set_effective_window(info.window());
   if (!info.caps.collision_detection) {
     // Degraded mode (DESIGN.md §6f): the round grid is built on
     // busy-vs-silent detection — two consecutive busy slots mark a round
@@ -35,6 +35,12 @@ void PunctualProtocol::on_activate(const sim::JobInfo& info) {
   }
 }
 
+void PunctualProtocol::set_effective_window(Slot window) {
+  effective_window_ = window;
+  anarchist_p_ = params_.anarchist_tx_prob(window);
+  pullback_p_ = params_.pullback_tx_prob(window);
+}
+
 void PunctualProtocol::set_stage(Stage next, Slot t) {
   CRMD_TRACE(obs_, obs::EventKind::kStage, gslot(t), info_.id,
              static_cast<std::int64_t>(stage_),
@@ -53,11 +59,11 @@ sim::SlotAction PunctualProtocol::on_slot(const sim::SlotView& view) {
       // The no-CD blind fallback scales by remaining laxity so jobs ramp
       // up toward their deadline; the tiny-window and desync flavors keep
       // the flat schedule (their ternary trajectories are digest-pinned).
-      const double p =
-          no_cd_blind_
-              ? params_.degraded_floor_tx_prob(effective_window_,
-                                               effective_window_ - t)
-              : params_.anarchist_tx_prob(effective_window_);
+      double p = anarchist_p_;
+      if (no_cd_blind_) {
+        p = params_.degraded_floor_tx_prob(effective_window_,
+                                           effective_window_ - t);
+      }
       action.declared_prob = p;
       if (rng_.bernoulli(p)) {
         action.transmit = true;
@@ -146,7 +152,7 @@ sim::SlotAction PunctualProtocol::act_synced(Slot t) {
 
     case SlotType::kLeaderElection:
       if (stage_ == Stage::kSlingshot) {
-        const double p = params_.pullback_tx_prob(effective_window_);
+        const double p = pullback_p_;
         action.declared_prob = p;
         if (rng_.bernoulli(p)) {
           action.transmit = true;
@@ -160,7 +166,7 @@ sim::SlotAction PunctualProtocol::act_synced(Slot t) {
 
     case SlotType::kAnarchy:
       if (stage_ == Stage::kAnarchist) {
-        const double p = params_.anarchist_tx_prob(effective_window_);
+        const double p = anarchist_p_;
         action.declared_prob = p;
         if (rng_.bernoulli(p)) {
           action.transmit = true;
@@ -400,7 +406,7 @@ void PunctualProtocol::handle_synced_feedback(Slot t,
         const Slot half = info_.window() / 2;
         if (leader_alive_ && leader_deadline_ >= half && t < half) {
           // "Rounds its deadline down to d_j/2 and runs FOLLOW-THE-LEADER."
-          effective_window_ = half;
+          set_effective_window(half);
           CRMD_TRACE(obs_, obs::EventKind::kWindowTrim, gslot(t), info_.id,
                      half);
           enter_follow_wait(t);

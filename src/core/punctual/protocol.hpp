@@ -120,6 +120,8 @@ class PunctualProtocol final : public sim::Protocol {
   [[nodiscard]] Slot effective_deadline() const noexcept {
     return effective_window_;  // since-release units
   }
+  /// Sets the effective window and the probabilities derived from it.
+  void set_effective_window(Slot window);
 
   Params params_;
   util::Rng rng_;
@@ -127,6 +129,10 @@ class PunctualProtocol final : public sim::Protocol {
   Stage stage_ = Stage::kSyncListen;
   RoundClock clock_;
   Slot effective_window_ = 0;
+  /// Params::anarchist_tx_prob / pullback_tx_prob of effective_window_,
+  /// recomputed wherever the window is set (activation, the recheck trim).
+  double anarchist_p_ = 0.0;
+  double pullback_p_ = 0.0;
 
   // Last transmission bookkeeping.
   bool transmitted_ = false;

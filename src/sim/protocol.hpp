@@ -125,6 +125,9 @@ class Protocol {
   /// True once the job will never transmit again — it succeeded, completed
   /// its algorithm without success ("gives up", §3 Truncation), or has
   /// nothing left to do. The simulator removes done jobs from the live set.
+  /// It reads done() once per slot, right after this job's own on_feedback
+  /// (for a job dark that slot, in its place), before later jobs observe
+  /// the slot — so the answer may depend only on this job's own state.
   [[nodiscard]] virtual bool done() const = 0;
 
   /// Optional dormancy promise for the fast-forward engine (see

@@ -24,6 +24,9 @@ namespace crmd::sim {
 namespace {
 constexpr Slot kMaxSlot = std::numeric_limits<Slot>::max();
 
+// What a sleeper hears, whatever the channel did (DESIGN.md §6k).
+constexpr SlotFeedback kSilent{};
+
 // Exact contention arithmetic (see Impl::slot_contention): probabilities
 // that are multiples of 2^-32 are summed as integers in those units.
 constexpr double kUnitsPerOne = 4294967296.0;  // 2^32
@@ -193,7 +196,7 @@ struct Simulation::Impl {
   std::vector<std::uint32_t> coll_count;
   // Fast-forward park state (DESIGN.md §6j): a live job is *parked* iff
   // ff_until > now — it holds a dormancy promise up to ff_until and the
-  // decision, feedback and done() loops skip it. ff_prob is the promised
+  // decision and feedback loops skip it. ff_prob is the promised
   // constant probability of a parked job and this slot's declaration of an
   // awake one, so the two together give every live job's contribution to
   // the slot's contention without a virtual call.
@@ -249,6 +252,7 @@ struct Simulation::Impl {
   // job-indexed but cleared per slot only at the entries written this slot
   // (live jobs resp. transmitters), so per-slot cost tracks the live set.
   std::vector<JobId> to_retire;
+  std::vector<JobId> done_jobs;  // reporting done() this slot, ticking order
   std::vector<std::uint8_t> dark;         // "dark this slot" (faulted runs)
   std::vector<std::uint8_t> transmitted;  // "sent this slot" (ACK-only runs)
   std::vector<std::uint8_t> asleep;       // "slept this slot" (§6k scrub)
@@ -767,6 +771,9 @@ struct Simulation::Impl {
     // per listener by faults; the true outcome stays authoritative for
     // crediting below. Where a channel's views split, one O(transmitters)
     // bitmap pass makes the per-listener "did I transmit" check O(1).
+    // Each job's done() is read right after its own on_feedback (a dark
+    // job's in its place): it depends only on that job's protocol state,
+    // which nothing later in the slot touches.
     for (const Channel& ch : chans) {
       if (ch.split) {
         for (const Transmission& t : ch.tx) {
@@ -778,16 +785,23 @@ struct Simulation::Impl {
         }
       }
     }
+    SlotFeedback perturbed;
+    done_jobs.clear();
     for (const JobId id : ticking) {
       const std::size_t i = ix(id);
+      Protocol& p = *proto[i];
       if (injector != nullptr && dark[i] != 0) {
+        if (p.done()) {
+          done_jobs.push_back(id);
+        }
         continue;
       }
       const Channel& ch = chans[multi ? chan[i] : 0];
       const bool sent = ch.split && transmitted[i] != 0;
-      SlotFeedback perceived = sent ? ch.transmitter : ch.listener;
+      const SlotFeedback* heard = sent ? &ch.transmitter : &ch.listener;
       if (injector != nullptr) {
-        perceived = injector->perceive(id, now, perceived);
+        perturbed = injector->perceive(id, now, *heard);
+        heard = &perturbed;
       }
       if (asleep[i] != 0) {
         // Enforce the sleep declaration (DESIGN.md §6k): a sleeper's radio
@@ -798,12 +812,14 @@ struct Simulation::Impl {
         // bit-identically; one that lies sleeps through real cues instead
         // of silently under-reporting energy. on_feedback is still called:
         // it is the protocol's timer tick.
-        perceived.outcome = SlotOutcome::kSilence;
-        perceived.message.reset();
+        heard = &kSilent;
       }
       const Slot skew = injector ? injector->skew(id) : 0;
       SlotView view{now - release[i] + skew, now + skew};
-      proto[i]->on_feedback(view, perceived);
+      p.on_feedback(view, *heard);
+      if (p.done()) {
+        done_jobs.push_back(id);
+      }
     }
     for (const Channel& ch : chans) {
       if (ch.split) {
@@ -878,8 +894,8 @@ struct Simulation::Impl {
     }
 
     // Credit up to one delivered data message per channel, then retire
-    // finished jobs. The winners head to_retire, so the done() check only
-    // has to skip those <= k ids.
+    // finished jobs. The winners head to_retire, so appending the done
+    // jobs only has to skip those <= k ids.
     to_retire.clear();
     for (const Channel& ch : chans) {
       if (ch.truth.outcome == SlotOutcome::kSuccess &&
@@ -895,10 +911,9 @@ struct Simulation::Impl {
       }
     }
     const auto winners = static_cast<std::ptrdiff_t>(to_retire.size());
-    for (const JobId id : ticking) {
-      if (proto[ix(id)]->done() &&
-          std::find(to_retire.begin(), to_retire.begin() + winners, id) ==
-              to_retire.begin() + winners) {
+    for (const JobId id : done_jobs) {
+      if (std::find(to_retire.begin(), to_retire.begin() + winners, id) ==
+          to_retire.begin() + winners) {
         to_retire.push_back(id);
       }
     }

@@ -66,7 +66,9 @@
 ///     fresh channel after every `migrate_after` of them.
 /// 13. Credit and retirement: each channel's delivered data message credits
 ///     its sender. The winners, then the unparked jobs reporting done() in
-///     live order, leave the live set.
+///     live order, leave the live set. A job's done() is read in step 10,
+///     right after its own on_feedback (for a dark job, in its place), so
+///     it may depend only on that job's protocol state.
 ///
 /// Success crediting always uses the *true* channel outcome; feedback
 /// models and faults change only what protocols perceive. The jammer, the

@@ -1,13 +1,6 @@
 #include "util/rng.hpp"
 
 namespace crmd::util {
-namespace {
-
-[[nodiscard]] constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
 
 std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   state += 0x9E3779B97F4A7C15ULL;
@@ -29,38 +22,12 @@ Xoshiro256::Xoshiro256(std::uint64_t seed) noexcept {
   }
 }
 
-Xoshiro256::result_type Xoshiro256::operator()() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
 Rng Rng::child(std::uint64_t stream) const noexcept {
   // Mix the stream id into the master seed through two SplitMix64 rounds so
   // that nearby streams (job 0, job 1, ...) land far apart in seed space.
   std::uint64_t s = seed_ ^ (0xA0761D6478BD642FULL * (stream + 1));
   const std::uint64_t mixed = splitmix64(s);
   return Rng(mixed ^ splitmix64(s));
-}
-
-double Rng::next_double() noexcept {
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::bernoulli(double p) noexcept {
-  if (p <= 0.0) {
-    return false;
-  }
-  if (p >= 1.0) {
-    return true;
-  }
-  return next_double() < p;
 }
 
 std::uint64_t Rng::below(std::uint64_t n) noexcept {

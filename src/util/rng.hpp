@@ -1,5 +1,6 @@
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 
@@ -31,7 +32,17 @@ class Xoshiro256 {
   explicit Xoshiro256(std::uint64_t seed = 0x9E3779B97F4A7C15ULL) noexcept;
 
   /// Advances the generator and returns 64 fresh bits.
-  result_type operator()() noexcept;
+  result_type operator()() noexcept {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept {
@@ -43,7 +54,8 @@ class Xoshiro256 {
 };
 
 /// Convenience wrapper bundling an engine with the distributions the
-/// protocols need. All draws are inlined-simple and allocation-free.
+/// protocols need. All draws are allocation-free; the per-slot ones (the
+/// engine step, next_double, bernoulli) are defined inline.
 class Rng {
  public:
   /// Constructs a generator for the given master seed.
@@ -61,10 +73,20 @@ class Rng {
   [[nodiscard]] std::uint64_t next_u64() noexcept { return engine_(); }
 
   /// Uniform double in [0, 1) with 53 bits of precision.
-  [[nodiscard]] double next_double() noexcept;
+  [[nodiscard]] double next_double() noexcept {
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Bernoulli trial: true with probability `p` (clamped to [0, 1]).
-  [[nodiscard]] bool bernoulli(double p) noexcept;
+  [[nodiscard]] bool bernoulli(double p) noexcept {
+    if (p <= 0.0) {
+      return false;
+    }
+    if (p >= 1.0) {
+      return true;
+    }
+    return next_double() < p;
+  }
 
   /// Uniform integer in [0, n). Requires n > 0. Uses Lemire rejection for an
   /// unbiased draw.

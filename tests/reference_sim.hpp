@@ -280,10 +280,15 @@ class ReferenceSim {
       resolve(chans[c], freeze_[c]);
     }
 
-    // Feedback, per job from its own channel.
+    // Feedback, per job from its own channel; each job's done() is read
+    // right after its own on_feedback (a dark job's in its place).
+    std::vector<JobId> done;
     for (const JobId id : live_) {
       Job& job = jobs_[id];
       if (injector_ && job.dark) {
+        if (job.proto->done()) {
+          done.push_back(id);
+        }
         continue;
       }
       const Chan& ch = chans[static_cast<std::size_t>(job.channel)];
@@ -297,6 +302,9 @@ class ReferenceSim {
         heard = sim::SlotFeedback{};  // a sleeper hears silence
       }
       job.proto->on_feedback(view_of(id), heard);
+      if (job.proto->done()) {
+        done.push_back(id);
+      }
     }
 
     // Records, one per channel; the slot's faults go to channel 0.
@@ -352,9 +360,8 @@ class ReferenceSim {
         leaving.push_back(winner);
       }
     }
-    for (const JobId id : live_) {
-      if (jobs_[id].proto->done() &&
-          std::find(leaving.begin(), leaving.end(), id) == leaving.end()) {
+    for (const JobId id : done) {
+      if (std::find(leaving.begin(), leaving.end(), id) == leaving.end()) {
         leaving.push_back(id);
       }
     }

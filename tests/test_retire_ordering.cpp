@@ -118,6 +118,30 @@ TEST(RetireOrdering, WinnerAndExpiryInOneSlot) {
   EXPECT_EQ(result.jobs[1].live_slots, 5);
 }
 
+// done() is read for a dark job too, in place of its on_feedback: a job
+// that has nothing to send from activation on retires in its first slot
+// even while stalled, instead of sitting out the stall live.
+TEST(RetireOrdering, DoneDarkJobRetiresInItsFirstSlot) {
+  class NothingToSend final : public Protocol {
+   public:
+    void on_activate(const JobInfo& /*info*/) override {}
+    SlotAction on_slot(const SlotView& /*view*/) override { return {}; }
+    void on_feedback(const SlotView& /*view*/,
+                     const SlotFeedback& /*fb*/) override {}
+    [[nodiscard]] bool done() const override { return true; }
+  };
+  const ProtocolFactory factory = [](const JobInfo&, util::Rng) {
+    return std::make_unique<NothingToSend>();
+  };
+  SimConfig config;
+  config.faults.crash_rate = 1.0;  // every job stalls in its first slot
+  Simulation sim(instance_of({{0, 100}}), factory, config);
+  const SimResult result = finish_checked(sim);
+  ASSERT_EQ(result.jobs.size(), 1u);
+  EXPECT_EQ(result.jobs[0].live_slots, 1);
+  EXPECT_EQ(result.jobs[0].dark_slots, 1);
+}
+
 // Heap-only (legacy ad-hoc lambda) factories take the non-arena ownership
 // path through the same retire bookkeeping; the engine must destroy those
 // protocols with `delete` exactly once (ASan would flag double-free or
