@@ -1,10 +1,11 @@
 // Microbenchmarks (google-benchmark): raw simulator throughput, RNG, the
 // feasibility checkers, tracker stepping, estimation updates, per-job-slot
-// NOCD and PUNCTUAL steps, and trimming.
+// NOCD and PUNCTUAL steps, the per-job-slot fault calls, and trimming.
 // These gate performance regressions; they reproduce no paper claim.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "core/params.hpp"
 #include "core/punctual/protocol.hpp"
 #include "obs/trace.hpp"
+#include "sim/faults.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 #include "workload/feasibility.hpp"
@@ -225,6 +227,54 @@ void BM_PunctualAnarchistStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PunctualAnarchistStep);
+
+// The fault plan of perfbench's fdma_faults workload: light feedback loss
+// and rare crashes that stall a job for 4-16 slots.
+sim::FaultPlan fdma_fault_plan() {
+  sim::FaultPlan plan;
+  plan.feedback_loss_rate = 0.01;
+  plan.crash_rate = 0.0005;
+  plan.stall_min = 4;
+  plan.stall_max = 16;
+  return plan;
+}
+
+// One live job-slot of the fault phase: a tick of one job's fault state.
+// The job crashes now and then, sits out its stall and restarts.
+void BM_FaultTick(benchmark::State& state) {
+  sim::FaultInjector injector(fdma_fault_plan(), 3);
+  sim::FaultInjector::JobFaults job = injector.job(0);
+  Slot t = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(injector.tick(job, 0, t));
+    ++t;
+  }
+}
+BENCHMARK(BM_FaultTick);
+
+// One hearing job-slot of the feedback pass: one job's fault filter over a
+// pre-drawn mix of silence, success and noise.
+void BM_FaultPerceive(benchmark::State& state) {
+  sim::FaultInjector injector(fdma_fault_plan(), 3);
+  sim::FaultInjector::JobFaults job = injector.job(0);
+  util::Rng rng(6);
+  std::vector<sim::SlotFeedback> truth(1024);
+  for (sim::SlotFeedback& fb : truth) {
+    const std::uint64_t kind = rng.below(3);
+    fb.outcome = static_cast<sim::SlotOutcome>(kind);
+    if (fb.outcome == sim::SlotOutcome::kSuccess) {
+      fb.message = sim::make_data(1);
+    }
+  }
+  Slot t = 0;
+  for (auto _ : state) {
+    const sim::SlotFeedback& heard = injector.perceive(
+        job, 0, t, truth[static_cast<std::size_t>(t) % 1024]);
+    benchmark::DoNotOptimize(heard.outcome);
+    ++t;
+  }
+}
+BENCHMARK(BM_FaultPerceive);
 
 void BM_Trimmed(benchmark::State& state) {
   util::Rng rng(5);

@@ -59,20 +59,6 @@ FaultInjector::FaultInjector(const FaultPlan& plan, std::uint64_t seed)
   plan_.validate();
 }
 
-FaultInjector::JobState& FaultInjector::state_for(JobId id) {
-  if (id >= jobs_.size()) {
-    jobs_.resize(id + 1);
-  }
-  JobState& js = jobs_[id];
-  if (!js.initialized) {
-    // Per-job child stream: stable regardless of how many other jobs exist
-    // or in which order they are visited.
-    js.rng = master_.child(static_cast<std::uint64_t>(id) + 1);
-    js.initialized = true;
-  }
-  return js;
-}
-
 void FaultInjector::record(Slot slot, FaultKind kind, JobId job) {
   ++counts_[static_cast<std::size_t>(kind)];
   ++total_;
@@ -87,56 +73,15 @@ std::int64_t FaultInjector::count(FaultKind kind) const noexcept {
   return counts_[static_cast<std::size_t>(kind)];
 }
 
-FaultInjector::JobHealth FaultInjector::tick(JobId id, Slot slot) {
-  JobState& js = state_for(id);
-  if (js.dead) {
+FaultInjector::JobHealth FaultInjector::crash(JobFaults& jf, JobId id,
+                                              Slot slot) {
+  record(slot, FaultKind::kCrash, id);
+  if (jf.rng.bernoulli(plan_.crash_permanent_frac)) {
+    jf.dead = true;
     return JobHealth::kDead;
   }
-  if (js.dark_until != kNoSlot) {
-    if (slot < js.dark_until) {
-      return JobHealth::kDark;
-    }
-    js.dark_until = kNoSlot;
-    record(slot, FaultKind::kRestart, id);
-  }
-  // Draw order is fixed (crash, then skew) so replays are exact.
-  if (plan_.crash_rate > 0.0 && js.rng.bernoulli(plan_.crash_rate)) {
-    record(slot, FaultKind::kCrash, id);
-    if (js.rng.bernoulli(plan_.crash_permanent_frac)) {
-      js.dead = true;
-      return JobHealth::kDead;
-    }
-    js.dark_until = slot + js.rng.range(plan_.stall_min, plan_.stall_max);
-    return JobHealth::kDark;
-  }
-  if (plan_.clock_skew_rate > 0.0 && js.rng.bernoulli(plan_.clock_skew_rate)) {
-    ++js.skew;
-    record(slot, FaultKind::kClockSkew, id);
-  }
-  return JobHealth::kHealthy;
-}
-
-Slot FaultInjector::skew(JobId id) const noexcept {
-  return id < jobs_.size() ? jobs_[id].skew : 0;
-}
-
-SlotFeedback FaultInjector::perceive(JobId id, Slot slot,
-                                     const SlotFeedback& truth) {
-  JobState& js = state_for(id);
-  // Draw order is fixed (loss, then corruption) so replays are exact.
-  if (plan_.feedback_loss_rate > 0.0 &&
-      js.rng.bernoulli(plan_.feedback_loss_rate)) {
-    record(slot, FaultKind::kFeedbackLoss, id);
-    return SlotFeedback{};  // heard nothing: silence, no message
-  }
-  if (plan_.feedback_corrupt_rate > 0.0 &&
-      js.rng.bernoulli(plan_.feedback_corrupt_rate)) {
-    record(slot, FaultKind::kFeedbackCorrupt, id);
-    // Same one-step never-fabricate degradation the noisy feedback model
-    // applies channel-wide (channel.hpp), so the two layers compose.
-    return degrade_feedback(truth);
-  }
-  return truth;
+  jf.dark_until = slot + jf.rng.range(plan_.stall_min, plan_.stall_max);
+  return JobHealth::kDark;
 }
 
 }  // namespace crmd::sim

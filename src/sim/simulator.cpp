@@ -114,7 +114,7 @@ void SimConfig::validate() const {
 // cold state touched once per job (JobResult). Protocols are constructed in
 // place inside a per-simulation MonotonicArena when the factory supports it
 // (all registered factories do); `live_pos` gives O(1) swap-removal from
-// the live list; `dark`/`transmitted` are per-slot scratch whose clearing
+// the live list; `transmitted`/`asleep` are per-slot scratch whose clearing
 // cost scales with the jobs actually touched, never with the total job
 // count. All of this is bookkeeping only: the order of protocol
 // construction, RNG child derivation, ticks, decisions, feedback, and
@@ -202,6 +202,11 @@ struct Simulation::Impl {
   // the slot's contention without a virtual call.
   std::vector<Slot> ff_until;
   std::vector<double> ff_prob;
+  // Each job's fault state (faults.hpp): its fault stream, skew and
+  // stall/crash status. Filled only when the run has an injector (empty
+  // otherwise); a live job is dark this slot iff, after the fault phase's
+  // tick, its dark_until is set.
+  std::vector<FaultInjector::JobFaults> faults;
 
   // --- Cold per-job state. ---
   std::vector<JobResult> results;
@@ -248,12 +253,11 @@ struct Simulation::Impl {
   std::vector<SlotRecord> slot_trace;
   SlotObserver observer;
 
-  // Scratch buffers reused across slots. `dark` and `transmitted` are
-  // job-indexed but cleared per slot only at the entries written this slot
-  // (live jobs resp. transmitters), so per-slot cost tracks the live set.
+  // Scratch buffers reused across slots. `transmitted` and `asleep` are
+  // job-indexed but written per slot only at the entries of transmitters
+  // resp. ticking jobs, so per-slot cost tracks the live set.
   std::vector<JobId> to_retire;
   std::vector<JobId> done_jobs;  // reporting done() this slot, ticking order
-  std::vector<std::uint8_t> dark;         // "dark this slot" (faulted runs)
   std::vector<std::uint8_t> transmitted;  // "sent this slot" (ACK-only runs)
   std::vector<std::uint8_t> asleep;       // "slept this slot" (§6k scrub)
 
@@ -394,7 +398,6 @@ struct Simulation::Impl {
     tx_count.push_back(0);
     listen_count.push_back(0);
     prev_awake.push_back(1);
-    dark.push_back(0);
     transmitted.push_back(0);
     asleep.push_back(0);
     ff_until.push_back(0);
@@ -402,6 +405,9 @@ struct Simulation::Impl {
     chan.push_back(static_cast<std::uint8_t>(
         shard_of(config.seed, id, config.multichannel.channels)));
     coll_count.push_back(0);
+    if (injector != nullptr) {
+      faults.push_back(injector->job(id));
+    }
     JobResult result;
     result.id = id;
     result.release = spec.release;
@@ -439,7 +445,6 @@ struct Simulation::Impl {
     erase_prefix(tx_count);
     erase_prefix(listen_count);
     erase_prefix(prev_awake);
-    erase_prefix(dark);
     erase_prefix(transmitted);
     erase_prefix(asleep);
     erase_prefix(ff_until);
@@ -447,6 +452,9 @@ struct Simulation::Impl {
     erase_prefix(results);
     erase_prefix(chan);
     erase_prefix(coll_count);
+    if (injector != nullptr) {
+      erase_prefix(faults);
+    }
     base_id += static_cast<JobId>(dead_prefix);
     dead_prefix = 0;
   }
@@ -715,11 +723,15 @@ struct Simulation::Impl {
       const std::size_t c = multi ? chan[i] : 0;
       Channel& ch = chans[c];
       ++ch.live;
-      if (injector != nullptr && dark[i] != 0) {
-        ++dark_slot_count[i];
-        continue;
+      Slot skew = 0;
+      if (injector != nullptr) {
+        const FaultInjector::JobFaults& jf = faults[i];
+        if (jf.dark_until != kNoSlot) {
+          ++dark_slot_count[i];
+          continue;
+        }
+        skew = jf.skew;
       }
-      const Slot skew = injector ? injector->skew(id) : 0;
       SlotView view{/*since_release=*/now - release[i] + skew,
                     /*global_slot=*/now + skew};
       const SlotAction action = proto[i]->on_slot(view);
@@ -785,23 +797,24 @@ struct Simulation::Impl {
         }
       }
     }
-    SlotFeedback perturbed;
     done_jobs.clear();
     for (const JobId id : ticking) {
       const std::size_t i = ix(id);
       Protocol& p = *proto[i];
-      if (injector != nullptr && dark[i] != 0) {
-        if (p.done()) {
-          done_jobs.push_back(id);
-        }
-        continue;
-      }
       const Channel& ch = chans[multi ? chan[i] : 0];
       const bool sent = ch.split && transmitted[i] != 0;
       const SlotFeedback* heard = sent ? &ch.transmitter : &ch.listener;
+      Slot skew = 0;
       if (injector != nullptr) {
-        perturbed = injector->perceive(id, now, *heard);
-        heard = &perturbed;
+        FaultInjector::JobFaults& jf = faults[i];
+        if (jf.dark_until != kNoSlot) {
+          if (p.done()) {
+            done_jobs.push_back(id);
+          }
+          continue;
+        }
+        heard = &injector->perceive(jf, id, now, *heard);
+        skew = jf.skew;
       }
       if (asleep[i] != 0) {
         // Enforce the sleep declaration (DESIGN.md §6k): a sleeper's radio
@@ -814,7 +827,6 @@ struct Simulation::Impl {
         // it is the protocol's timer tick.
         heard = &kSilent;
       }
-      const Slot skew = injector ? injector->skew(id) : 0;
       SlotView view{now - release[i] + skew, now + skew};
       p.on_feedback(view, *heard);
       if (p.done()) {
@@ -1098,7 +1110,6 @@ Simulation::Simulation(workload::Instance instance,
   s.listen_count.assign(n, 0);
   s.prev_awake.assign(n, 1);
   s.results.reserve(n);
-  s.dark.assign(n, 0);
   s.transmitted.assign(n, 0);
   s.asleep.assign(n, 0);
   s.ff_until.assign(n, 0);
@@ -1109,6 +1120,12 @@ Simulation::Simulation(workload::Instance instance,
     s.chan.push_back(static_cast<std::uint8_t>(
         shard_of(s.config.seed, static_cast<JobId>(i),
                  s.config.multichannel.channels)));
+  }
+  if (s.injector != nullptr) {
+    s.faults.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      s.faults.push_back(s.injector->job(static_cast<JobId>(i)));
+    }
   }
   s.arena_owned = factory.arena_aware();
   for (std::size_t i = 0; i < n; ++i) {
@@ -1318,30 +1335,24 @@ bool Simulation::step() {
 
   // Fault phase: advance each live job's crash/stall/skew state. Dead jobs
   // retire immediately (the channel cannot tell a dead job from an absent
-  // one); dark jobs stay live but neither transmit nor listen this slot.
-  // The dark flags of this slot's live set are (re)written unconditionally,
-  // so no all-jobs clear is needed — stale entries of retired jobs are
-  // never read again.
+  // one); dark jobs stay live but neither transmit nor listen this slot —
+  // the decision and feedback passes read that from the job's dark_until.
   const std::int64_t faults_before =
       s.injector ? s.injector->total_injected() : 0;
   if (s.injector != nullptr) {
     s.to_retire.clear();
     std::int64_t dark_this_slot = 0;
     for (const JobId id : s.live) {
-      const std::size_t i = s.ix(id);
-      std::uint8_t is_dark = 0;
-      switch (s.injector->tick(id, s.now)) {
+      switch (s.injector->tick(s.faults[s.ix(id)], id, s.now)) {
         case FaultInjector::JobHealth::kHealthy:
           break;
         case FaultInjector::JobHealth::kDark:
-          is_dark = 1;
           ++dark_this_slot;
           break;
         case FaultInjector::JobHealth::kDead:
           s.to_retire.push_back(id);
           break;
       }
-      s.dark[i] = is_dark;
     }
     s.metrics.dark_job_slots += dark_this_slot;
     for (const JobId id : s.to_retire) {

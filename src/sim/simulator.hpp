@@ -39,12 +39,15 @@
 ///  6. Parking (fast-forward only): awake jobs holding a dormancy promise
 ///     are parked. If no job is left awake, the whole provably silent run
 ///     up to the next event is accounted at once and `now` jumps past it.
-///  7. Faults: the fault injector advances each live job's crash, stall
-///     and skew state in live order. Dead jobs retire; dark jobs sit out
-///     the slot. If none is left, the slot is not simulated.
+///  7. Faults: the fault injector ticks each live job's fault state
+///     (FaultInjector::JobFaults, one per job in the engine's per-job
+///     arrays) in live order, advancing its crash, stall and skew. Dead
+///     jobs retire; a job whose dark_until is set after its tick is dark
+///     and sits out the slot. If none is left, the slot is not simulated.
 ///  8. Decisions: each live job that is neither parked nor dark decides in
-///     live order, bucketed by its channel. A channel's contention C(t) sums
-///     the declared probabilities of its jobs (parked jobs add their
+///     live order, bucketed by its channel. It sees the slot shifted by the
+///     skew its fault state holds after step 7. A channel's contention C(t)
+///     sums the declared probabilities of its jobs (parked jobs add their
 ///     promised one). A transmitter or a job that does not declare sleep
 ///     is awake (listening or transmitting); the rest sleep (DESIGN.md
 ///     §6k).
@@ -55,10 +58,12 @@
 ///     (DESIGN.md §6i); then the feedback model projects the true outcome
 ///     into a listener view and a transmitter view (channel.hpp).
 /// 10. Feedback: each live job that is neither parked nor dark observes its
-///     own channel, in live order: the transmitter view if it transmitted on a channel whose
-///     views differ (and did not win a capture), else the listener view.
-///     The fault injector then filters it per listener, and a job that
-///     declared sleep hears silence whatever the channel did.
+///     own channel, in live order: the transmitter view if it transmitted
+///     on a channel whose views differ (and did not win a capture), else
+///     the listener view. The fault injector then filters it per listener
+///     with the job's fault state, and a job that declared sleep hears
+///     silence whatever the channel did. Dark status and skew are read
+///     from the fault state as in step 8; nothing changes them in between.
 /// 11. Records: one SlotRecord per channel feeds SimMetrics, record_slots
 ///     and the SlotObserver. The slot's fault count goes to channel 0.
 /// 12. Migration (with MultiChannelConfig::migrate): a transmitter on a

@@ -70,6 +70,9 @@ class ReferenceSim {
       job.result.release = spec.release;
       job.result.deadline = spec.deadline;
       job.channel = sim::shard_of(config_.seed, job.result.id, k);
+      if (injector_) {
+        job.faults = injector_->job(job.result.id);
+      }
       jobs_.push_back(std::move(job));
     }
     freeze_.assign(static_cast<std::size_t>(k), 0);
@@ -122,6 +125,7 @@ class ReferenceSim {
     std::unique_ptr<sim::Protocol> proto;
     int channel = 0;
     std::uint32_t collisions = 0;
+    sim::FaultInjector::JobFaults faults;  // used only with an injector
     bool live = false;
     bool dark = false;    // this slot
     bool asleep = false;  // this slot
@@ -159,7 +163,7 @@ class ReferenceSim {
   }
 
   sim::SlotView view_of(JobId id) const {
-    const Slot skew = injector_ ? injector_->skew(id) : 0;
+    const Slot skew = jobs_[id].faults.skew;
     return sim::SlotView{now_ - jobs_[id].result.release + skew, now_ + skew};
   }
 
@@ -229,7 +233,7 @@ class ReferenceSim {
     if (injector_) {
       std::vector<JobId> dead;
       for (const JobId id : live_) {
-        const auto health = injector_->tick(id, now_);
+        const auto health = injector_->tick(jobs_[id].faults, id, now_);
         jobs_[id].dark = health == sim::FaultInjector::JobHealth::kDark;
         metrics_.dark_job_slots += jobs_[id].dark ? 1 : 0;
         if (health == sim::FaultInjector::JobHealth::kDead) {
@@ -296,7 +300,7 @@ class ReferenceSim {
           ch.split && job.sent && id != ch.capture_winner;
       sim::SlotFeedback heard = as_transmitter ? ch.transmitter : ch.listener;
       if (injector_) {
-        heard = injector_->perceive(id, now_, heard);
+        heard = injector_->perceive(job.faults, id, now_, heard);
       }
       if (job.asleep) {
         heard = sim::SlotFeedback{};  // a sleeper hears silence
