@@ -172,7 +172,9 @@ class ReferenceSim {
       return false;
     }
     if (live_.empty()) {
-      if (next_ >= jobs_.size()) {
+      // Nothing released at or past the horizon enters, so no gap is
+      // walked toward it.
+      if (next_ >= jobs_.size() || jobs_[next_].result.release >= horizon_) {
         finished_ = true;
         return false;
       }
