@@ -30,6 +30,12 @@
 
 namespace crmd::sim {
 
+/// Largest window or dwell an arrival process accepts, and the clock at
+/// which the Poisson and MMPP processes end: 2^62 slots. A release below
+/// it plus a window at most it stays below 2^63, so no release + window
+/// overflows and every clock-to-slot conversion is defined.
+inline constexpr Slot kMaxArrivalSlots = Slot{1} << 62;
+
 /// Produces jobs one at a time in nondecreasing release order.
 class ArrivalProcess {
  public:
@@ -44,7 +50,9 @@ class ArrivalProcess {
 };
 
 /// Poisson arrivals: exponential inter-arrival gaps at `rate` jobs/slot,
-/// each job getting a fixed window of `window` slots.
+/// each job getting a fixed window of `window` slots (at most
+/// kMaxArrivalSlots). The stream ends once the clock reaches
+/// kMaxArrivalSlots.
 class PoissonArrivals final : public ArrivalProcess {
  public:
   PoissonArrivals(double rate, Slot window);
@@ -59,7 +67,8 @@ class PoissonArrivals final : public ArrivalProcess {
 /// Markov-modulated Poisson: alternates between a low-rate and a high-rate
 /// state with geometrically distributed dwell times (mean `dwell` slots),
 /// emitting Poisson arrivals at the current state's rate. The bursty
-/// workload the stability literature stresses.
+/// workload the stability literature stresses. Window and dwell are at
+/// most kMaxArrivalSlots, and the stream ends once the clock reaches it.
 class MmppArrivals final : public ArrivalProcess {
  public:
   MmppArrivals(double rate_lo, double rate_hi, Slot window, Slot dwell);
@@ -121,7 +130,8 @@ struct ArrivalSpec {
 [[nodiscard]] std::string arrivals_usage();
 
 /// Parses "poisson:RATE[:WINDOW]", "mmpp:RLO:RHI[:WINDOW[:DWELL]]", or
-/// "trace:PATH". Returns nullopt (after printing a one-line error with
+/// "trace:PATH"; WINDOW and DWELL lie in [1, kMaxArrivalSlots]. Returns
+/// nullopt (after printing a one-line error with
 /// arrivals_usage() to `diag`) on anything malformed — CLI callers exit 2,
 /// matching the --feedback pattern.
 [[nodiscard]] std::optional<ArrivalSpec> parse_arrivals_spec(

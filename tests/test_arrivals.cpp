@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -83,7 +84,10 @@ TEST(ArrivalSpecParse, RejectsMalformedSpecsWithOneLineError) {
        {"", "poisson", "poisson:", "poisson:-0.5", "poisson:0",
         "poisson:nan", "poisson:0.1:0", "poisson:0.1:junk",
         "mmpp:0.1", "mmpp:0.1:-1", "mmpp:0.1:0.2:0", "trace:",
-        "uniform:0.1", "poisson:0.1:64:extra"}) {
+        "uniform:0.1", "poisson:0.1:64:extra",
+        "poisson:0.5:9223372036854775807", "poisson:0.5:4611686018427387905",
+        "mmpp:0.1:0.2:4611686018427387905",
+        "mmpp:0.1:0.2:64:4611686018427387905"}) {
     std::ostringstream diag;
     EXPECT_FALSE(parse_arrivals_spec(bad, diag).has_value()) << bad;
     const std::string msg = diag.str();
@@ -147,6 +151,57 @@ TEST(MmppArrivalsTest, DeterministicNondecreasingAndBursty) {
   }
   EXPECT_GT(max_gap, 100);
   EXPECT_GT(zero_gaps, 0);
+}
+
+TEST(ArrivalLimits, WindowAndDwellAreCappedAt2To62) {
+  const auto window = [](Slot w) { return "poisson:0.5:" + std::to_string(w); };
+  EXPECT_TRUE(parse_quiet(window(kMaxArrivalSlots)).has_value());
+  EXPECT_FALSE(parse_quiet(window(kMaxArrivalSlots + 1)).has_value());
+  EXPECT_NO_THROW(PoissonArrivals(0.5, kMaxArrivalSlots));
+  EXPECT_THROW(PoissonArrivals(0.5, kMaxArrivalSlots + 1),
+               std::invalid_argument);
+  EXPECT_NO_THROW(MmppArrivals(0.1, 0.2, kMaxArrivalSlots, kMaxArrivalSlots));
+  EXPECT_THROW(MmppArrivals(0.1, 0.2, kMaxArrivalSlots + 1, 64),
+               std::invalid_argument);
+  EXPECT_THROW(MmppArrivals(0.1, 0.2, 64, kMaxArrivalSlots + 1),
+               std::invalid_argument);
+}
+
+TEST(ArrivalLimits, StreamsEndOnceTheClockReaches2To62) {
+  // A rate of 1e-300 puts the first arrival near slot 1e300: the stream
+  // ends at once, and stays ended.
+  util::Rng rng(1);
+  PoissonArrivals never(1e-300, 64);
+  EXPECT_FALSE(never.next(rng).has_value());
+  EXPECT_FALSE(never.next(rng).has_value());
+  PoissonArrivals never_again(1e-300, 64);
+  EXPECT_TRUE(materialize_arrivals(never_again, 1000, rng).empty());
+
+  // Gaps of about 10^18 slots: a few jobs, then the end. Every job keeps
+  // its full window with the largest window allowed.
+  const auto drain = [](ArrivalProcess& process) {
+    util::Rng r(2);
+    std::vector<workload::JobSpec> jobs;
+    for (int i = 0; i < 1000; ++i) {
+      const auto job = process.next(r);
+      if (!job) {
+        return jobs;
+      }
+      jobs.push_back(*job);
+    }
+    ADD_FAILURE() << "the stream did not end";
+    return jobs;
+  };
+  PoissonArrivals poisson(1e-18, kMaxArrivalSlots);
+  MmppArrivals mmpp(1e-18, 2e-18, kMaxArrivalSlots, kMaxArrivalSlots);
+  for (ArrivalProcess* process :
+       std::initializer_list<ArrivalProcess*>{&poisson, &mmpp}) {
+    for (const workload::JobSpec& job : drain(*process)) {
+      EXPECT_GE(job.release, 0);
+      EXPECT_LT(job.release, kMaxArrivalSlots);
+      EXPECT_EQ(job.deadline - job.release, kMaxArrivalSlots);
+    }
+  }
 }
 
 TEST(TraceArrivalsTest, RoundTripsThroughCsv) {
