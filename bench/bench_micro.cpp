@@ -1,5 +1,5 @@
-// Microbenchmarks (google-benchmark): raw simulator throughput, RNG, the
-// feasibility checkers, tracker stepping, estimation updates, per-job-slot
+// Microbenchmarks (google-benchmark): raw simulator throughput, batch
+// set-up and activation, RNG, the feasibility checkers, tracker stepping, estimation updates, per-job-slot
 // NOCD and PUNCTUAL steps, the per-job-slot fault calls, and trimming.
 // These gate performance regressions; they reproduce no paper claim.
 
@@ -16,6 +16,7 @@
 #include "core/nocd/protocol.hpp"
 #include "core/params.hpp"
 #include "core/punctual/protocol.hpp"
+#include "core/uniform.hpp"
 #include "obs/trace.hpp"
 #include "sim/faults.hpp"
 #include "sim/simulator.hpp"
@@ -69,6 +70,35 @@ void BM_SimulatorAloha(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * (1 << 12));
 }
 BENCHMARK(BM_SimulatorAloha)->Arg(8)->Arg(64)->Arg(512);
+
+// Batch set-up as a whole: the Simulation ctor plus its first step(),
+// which activates every job of a gen_batch(n, 4n) UNIFORM burst with
+// fast-forward on (perfbench's dense_burst shape). Protocol construction
+// is counted wherever the engine does it, in the ctor or at activation.
+void BM_BatchActivation(benchmark::State& state) {
+  const auto jobs = state.range(0);
+  const sim::ProtocolFactory factory =
+      core::make_uniform_factory(core::Params{});
+  sim::SimConfig config;
+  config.seed = 7;
+  config.fast_forward = sim::FastForward::kOn;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto instance = workload::gen_batch(jobs, 4 * jobs);
+    state.ResumeTiming();
+    auto sim = std::make_unique<sim::Simulation>(std::move(instance),
+                                                 factory, config);
+    benchmark::DoNotOptimize(sim->step());
+    state.PauseTiming();
+    sim.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * jobs);
+}
+BENCHMARK(BM_BatchActivation)
+    ->Arg(1024)
+    ->Arg(8192)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_EdfFeasible(benchmark::State& state) {
   util::Rng rng(3);
