@@ -161,13 +161,16 @@ class Protocol {
 ///    historical signature, and any callable with it converts implicitly,
 ///    so ad-hoc factories (tests, examples) keep working unchanged;
 ///  - the *arena* path (`emplace`) constructs the protocol in place inside
-///    a per-simulation MonotonicArena, which the simulator prefers when
-///    available: one bump allocation per job instead of one heap object,
-///    and all of a run's protocols packed contiguously.
+///    a per-simulation MonotonicArena: one bump allocation per job instead
+///    of one heap object, and all of a run's protocols packed
+///    contiguously. The simulator uses it for batch runs only; an arena
+///    never frees, so streaming runs use the heap path.
 ///
-/// The registered factories (`make_*_factory` across core/ and baselines/)
-/// provide both paths; the simulator falls back to the heap path — and
-/// takes over ownership via `delete` — when a factory is heap-only.
+/// The simulator calls the factory when a job activates, never for a job
+/// that does not. The registered factories (`make_*_factory` across core/
+/// and baselines/) provide both paths; the simulator falls back to the
+/// heap path — and takes over ownership via `delete` — when a factory is
+/// heap-only.
 class ProtocolFactory {
  public:
   using HeapFn =
