@@ -42,6 +42,8 @@ const char* to_string(FeedbackKind kind) noexcept {
       return "noisy";
     case FeedbackKind::kCapture:
       return "capture";
+    case FeedbackKind::kUnawareNoCd:
+      return "unaware_no_cd";
   }
   return "unknown";
 }
@@ -50,6 +52,9 @@ ChannelCaps FeedbackModel::caps() const noexcept {
   ChannelCaps c;
   switch (kind) {
     case FeedbackKind::kTernary:
+    case FeedbackKind::kUnawareNoCd:
+      // The ablation hides its loss of collision detection on purpose: the
+      // protocols must run as if on the paper's channel.
       break;
     case FeedbackKind::kBinaryAck:
       c.collision_detection = false;
@@ -118,6 +123,9 @@ std::optional<FeedbackModel> parse_model_parts(const std::string& name,
   if (name == "collision_as_silence" && param.empty()) {
     return FeedbackModel::collision_as_silence();
   }
+  if (name == "unaware_no_cd" && param.empty()) {
+    return FeedbackModel::unaware_no_cd();
+  }
   if (name == "noisy" || name == "capture") {
     // Both parameterized kinds share the strict numeric path: the full
     // param must parse as a double in [0, 1] ("noisy:junk", "capture:1.5",
@@ -156,14 +164,10 @@ std::optional<FeedbackModel> parse_feedback_model(const std::string& spec) {
   return parse_model_parts(name, param);
 }
 
-std::vector<std::string> feedback_model_names() {
-  return {"ternary", "binary_ack", "collision_as_silence", "noisy",
-          "capture"};
-}
-
 std::string feedback_usage() {
   return "expected ternary | binary_ack | collision_as_silence | "
-         "noisy[:eps] | capture[:alpha] with eps, alpha in [0, 1]";
+         "noisy[:eps] | capture[:alpha] | unaware_no_cd with eps, alpha in "
+         "[0, 1]";
 }
 
 std::optional<FeedbackModel> parse_feedback_spec(const std::string& spec,

@@ -5,7 +5,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "sim/message.hpp"
 #include "util/types.hpp"
@@ -97,6 +96,13 @@ enum class FeedbackKind : std::uint8_t {
   /// — no RNG draw is ever taken, so trajectories and digests match the
   /// pinned goldens exactly. See DESIGN.md §6i.
   kCapture,
+  /// The §1.1 ablation (E17): listeners hear noisy slots as silence, while
+  /// a transmitter still learns its own failure (it perceives the true
+  /// outcome, ACK-style). Unlike kCollisionAsSilence the channel does not
+  /// advertise the loss: caps() returns ternary's caps, so protocols run
+  /// unaware, exactly as they would on the paper's channel. Measures which
+  /// algorithm silently breaks without collision detection.
+  kUnawareNoCd,
 };
 
 /// Human-readable name of a feedback kind ("ternary", "binary_ack", ...).
@@ -154,6 +160,9 @@ struct FeedbackModel {
   [[nodiscard]] static FeedbackModel capture(double alpha) noexcept {
     return {FeedbackKind::kCapture, 0.0, alpha};
   }
+  [[nodiscard]] static FeedbackModel unaware_no_cd() noexcept {
+    return {FeedbackKind::kUnawareNoCd, 0.0, 0.0};
+  }
 
   /// The capability flags this model advertises to protocols.
   [[nodiscard]] ChannelCaps caps() const noexcept;
@@ -170,7 +179,7 @@ struct FeedbackModel {
 
 /// Parses "--feedback=" specs: "ternary" | "binary_ack" |
 /// "collision_as_silence" | "noisy[:eps]" (eps defaults to 0.05) |
-/// "capture[:alpha]" (alpha defaults to 0.5).
+/// "capture[:alpha]" (alpha defaults to 0.5) | "unaware_no_cd".
 /// Returns std::nullopt on unknown names or malformed parameters.
 [[nodiscard]] std::optional<FeedbackModel> parse_feedback_model(
     const std::string& spec);
@@ -190,10 +199,6 @@ struct FeedbackModel {
 /// std::nullopt — callers exit 2.
 [[nodiscard]] std::optional<int> parse_collision_cost(const std::string& spec,
                                                       std::ostream& diag);
-
-/// All model spec names, in degradation-ladder order (for --help and
-/// sweep harnesses). The "noisy" entry is the bare kind name.
-[[nodiscard]] std::vector<std::string> feedback_model_names();
 
 /// One-line usage hint for `--feedback=` error messages, shared by every
 /// bench harness and `crmd_cli` so a malformed spec ("noisy:junk",

@@ -71,12 +71,6 @@ void SimConfig::validate() const {
         "SimConfig: collision_cost must be >= 1, got " +
         std::to_string(collision_cost));
   }
-  if (!collision_detection && feedback.kind != FeedbackKind::kTernary) {
-    throw std::invalid_argument(
-        "SimConfig: the legacy collision_detection ablation only composes "
-        "with the ternary feedback model; use "
-        "FeedbackModel::collision_as_silence instead");
-  }
   if (multichannel.channels < 1 || multichannel.channels > 256) {
     throw std::invalid_argument(
         "SimConfig: multichannel.channels must be in [1, 256], got " +
@@ -89,16 +83,12 @@ void SimConfig::validate() const {
   }
   if (multichannel.channels > 1) {
     if (feedback.kind == FeedbackKind::kNoisy ||
-        feedback.kind == FeedbackKind::kCapture) {
+        feedback.kind == FeedbackKind::kCapture ||
+        feedback.kind == FeedbackKind::kUnawareNoCd) {
       throw std::invalid_argument(
           "SimConfig: multichannel composes only with the ternary, "
           "binary_ack, and collision_as_silence feedback models (v1 scope, "
           "DESIGN.md §6j)");
-    }
-    if (!collision_detection) {
-      throw std::invalid_argument(
-          "SimConfig: multichannel does not compose with the legacy "
-          "collision_detection ablation");
     }
   }
   if (stream_compact < 1) {
@@ -1011,14 +1001,6 @@ struct Simulation::Impl {
     ch.split = false;
     switch (config.feedback.kind) {
       case FeedbackKind::kTernary:
-        // Legacy unadvertised ablation: listeners perceive noisy slots as
-        // silent; transmitters still learn their failure (ACK-style).
-        if (!config.collision_detection &&
-            fb.outcome == SlotOutcome::kNoise) {
-          ch.listener.outcome = SlotOutcome::kSilence;
-          ch.listener.message.reset();
-          ch.split = true;
-        }
         break;
       case FeedbackKind::kBinaryAck:
         // Listeners hear nothing, ever; transmitters get the true outcome
@@ -1054,6 +1036,15 @@ struct Simulation::Impl {
         if (ch.capture_winner != kNoJob) {
           ch.transmitter.outcome = SlotOutcome::kNoise;
           ch.transmitter.message.reset();
+          ch.split = true;
+        }
+        break;
+      case FeedbackKind::kUnawareNoCd:
+        // Listeners perceive noisy slots as silent; transmitters still
+        // learn their failure (ACK-style).
+        if (fb.outcome == SlotOutcome::kNoise) {
+          ch.listener.outcome = SlotOutcome::kSilence;
+          ch.listener.message.reset();
           ch.split = true;
         }
         break;

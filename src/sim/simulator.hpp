@@ -79,8 +79,8 @@
 ///
 /// Success crediting always uses the *true* channel outcome; feedback
 /// models and faults change only what protocols perceive. The jammer, the
-/// capture and noisy feedback models, the legacy collision_detection
-/// ablation and fast-forward all require k = 1.
+/// noisy, capture and unaware_no_cd feedback models and fast-forward all
+/// require k = 1.
 ///
 /// Every job enters the same way: an ArrivalProcess hands the engine one job
 /// at a time, and the batch ctor is a VectorArrivals replay of its
@@ -172,10 +172,10 @@ struct SimConfig {
   /// The channel's feedback semantics (channel.hpp): how the true slot
   /// outcome is projected into what every observer perceives, and which
   /// ChannelCaps protocols are told about (via JobInfo::caps) so they can
-  /// pick degraded-mode behavior. The default — the paper's ternary
-  /// feedback — is a provable no-op: results are bit-identical to the
-  /// pre-model engine (pinned in tests/test_determinism_golden.cpp and
-  /// tests/test_feedback_models.cpp).
+  /// pick degraded-mode behavior. The only input to that projection. The
+  /// default — the paper's ternary feedback — is a provable no-op: results
+  /// are bit-identical to the pre-model engine (pinned in
+  /// tests/test_determinism_golden.cpp and tests/test_feedback_models.cpp).
   FeedbackModel feedback;
 
   /// Collision-cost channel physics (DESIGN.md §6i; Biswas–Chakraborty–
@@ -188,17 +188,6 @@ struct SimConfig {
   /// bit-identical to the pre-cost engine: the freeze path is never
   /// entered, no counter is consulted, no RNG stream is touched.
   int collision_cost = 1;
-
-  /// Legacy *unadvertised* ablation (default on = the paper's assumption,
-  /// §1.1): with collision detection, listeners receive ternary feedback.
-  /// Without it, listeners cannot distinguish noise from silence (they
-  /// receive kSilence for noisy slots); transmitters still learn that
-  /// their own transmission failed (ACK-style). Unlike
-  /// FeedbackModel::collision_as_silence this does NOT change the caps
-  /// protocols see — it measures what happens when the paper's algorithms
-  /// run *unaware* on a weaker channel (bench_model_assumptions). Only
-  /// meaningful with the ternary model; validate() rejects other mixes.
-  bool collision_detection = true;
 
   /// Fault injection between channel resolution and protocol observation
   /// (see faults.hpp). The default plan injects nothing and is a provable
@@ -220,10 +209,9 @@ struct SimConfig {
 
   /// Multi-channel scenario (see MultiChannelConfig). The default single
   /// channel is the paper's. With channels > 1 the feedback model must be
-  /// ternary, binary_ack, or collision_as_silence (validate() rejects the
-  /// noisy/capture models and the legacy collision_detection ablation),
-  /// fast-forward is disabled, and the Simulation ctor rejects a jammer —
-  /// v1 scope, DESIGN.md §6j.
+  /// ternary, binary_ack, or collision_as_silence (validate() rejects
+  /// noisy, capture and unaware_no_cd), fast-forward is disabled, and the
+  /// Simulation ctor rejects a jammer — v1 scope, DESIGN.md §6j.
   MultiChannelConfig multichannel;
 
   /// Compaction threshold: how many retired jobs the engine tolerates at
@@ -239,9 +227,9 @@ struct SimConfig {
   /// it and always return one JobResult per instance job.
   bool keep_job_results = true;
 
-  /// Throws std::invalid_argument when any field is out of range or the
-  /// legacy collision_detection ablation is combined with a non-ternary
-  /// feedback model. Called by the Simulation ctor.
+  /// Throws std::invalid_argument when any field is out of range or a
+  /// k = 1-only feedback model is combined with channels > 1. Called by the
+  /// Simulation ctor.
   void validate() const;
 };
 

@@ -427,10 +427,6 @@ class ReferenceSim {
     ch.transmitter = ch.truth;
     switch (model.kind) {
       case sim::FeedbackKind::kTernary:
-        if (!config_.collision_detection && noise) {
-          ch.listener = silence;
-          ch.split = true;
-        }
         break;
       case sim::FeedbackKind::kBinaryAck:
         ch.listener = silence;
@@ -453,6 +449,12 @@ class ReferenceSim {
         if (ch.capture_winner != kNoJob) {
           ch.transmitter =
               sim::SlotFeedback{sim::SlotOutcome::kNoise, std::nullopt};
+          ch.split = true;
+        }
+        break;
+      case sim::FeedbackKind::kUnawareNoCd:
+        if (noise) {
+          ch.listener = silence;
           ch.split = true;
         }
         break;

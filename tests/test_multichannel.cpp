@@ -87,10 +87,9 @@ TEST(MultiChannelConfigTest, ValidateRejectsBadCompositions) {
   config.feedback = FeedbackModel::binary_ack();
   EXPECT_NO_THROW(config.validate());
 
-  config.feedback = FeedbackModel{};
-  config.collision_detection = false;
+  config.feedback = FeedbackModel::unaware_no_cd();
   EXPECT_THROW(config.validate(), std::invalid_argument);
-  config.collision_detection = true;
+  config.feedback = FeedbackModel{};
 
   config.multichannel.migrate_after = 0;
   EXPECT_THROW(config.validate(), std::invalid_argument);

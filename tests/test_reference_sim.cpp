@@ -110,6 +110,8 @@ struct Case {
   int index = 0;
   std::string protocol;
   int feedback = 0;  // index into kFeedbackSpecs
+  // Runs the ternary draw as unaware_no_cd instead (the ablation was once
+  // a ternary-only flag; the draw keeps that shape so no case moves).
   bool legacy_no_cd = false;
   bool faults = false;
   int jammer = 0;  // index into kJammers
@@ -198,8 +200,9 @@ sim::SimConfig make_config(const Case& c,
                            const workload::Instance& instance) {
   sim::SimConfig config;
   config.seed = c.seed;
-  config.feedback = *sim::parse_feedback_model(kFeedbackSpecs[c.feedback]);
-  config.collision_detection = !c.legacy_no_cd;
+  config.feedback =
+      c.legacy_no_cd ? sim::FeedbackModel::unaware_no_cd()
+                     : *sim::parse_feedback_model(kFeedbackSpecs[c.feedback]);
   config.collision_cost = c.cost;
   config.multichannel.channels = c.channels;
   config.multichannel.migrate = c.migrate;
