@@ -84,7 +84,9 @@ void Params::validate() const {
   if (lambda < 1) {
     throw std::invalid_argument("Params: lambda must be >= 1");
   }
-  if (max_tx_prob <= 0.0 || max_tx_prob > 0.5) {
+  // Every floating-point range check is written as !(in range), so NaN
+  // fails it instead of slipping through.
+  if (!(max_tx_prob > 0.0 && max_tx_prob <= 0.5)) {
     throw std::invalid_argument("Params: max_tx_prob must be in (0, 0.5]");
   }
   if (uniform_attempts < 1) {
@@ -96,14 +98,14 @@ void Params::validate() const {
   if (min_class < 1 || min_class > 40) {
     throw std::invalid_argument("Params: min_class must be in [1, 40]");
   }
-  if (pullback_prob_log_exp < 0.0 || pullback_len_log_exp < 0.0 ||
-      anarchist_log_exp < 0.0) {
+  if (!(pullback_prob_log_exp >= 0.0 && pullback_len_log_exp >= 0.0 &&
+        anarchist_log_exp >= 0.0)) {
     throw std::invalid_argument("Params: log exponents must be >= 0");
   }
-  if (pullback_prob_scale <= 0.0) {
+  if (!(pullback_prob_scale > 0.0)) {
     throw std::invalid_argument("Params: pullback_prob_scale must be > 0");
   }
-  if (pullback_window_frac <= 0.0 || pullback_window_frac > 1.0) {
+  if (!(pullback_window_frac > 0.0 && pullback_window_frac <= 1.0)) {
     throw std::invalid_argument(
         "Params: pullback_window_frac must be in (0, 1]");
   }
@@ -119,7 +121,7 @@ void Params::validate() const {
   if (nocd_dry_sweep_limit < 1) {
     throw std::invalid_argument("Params: nocd_dry_sweep_limit must be >= 1");
   }
-  if (energy_spread_frac <= 0.0 || energy_spread_frac > 8.0) {
+  if (!(energy_spread_frac > 0.0 && energy_spread_frac <= 8.0)) {
     throw std::invalid_argument(
         "Params: energy_spread_frac must be in (0, 8]");
   }

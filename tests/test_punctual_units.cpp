@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/params.hpp"
 #include "core/punctual/clock.hpp"
 #include "core/punctual/round.hpp"
@@ -155,6 +157,18 @@ TEST(Params, ValidateCatchesBadValues) {
   p = Params{};
   p.min_class = 0;
   EXPECT_THROW(p.validate(), std::invalid_argument);
+
+  // NaN fails every floating-point range check.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double Params::*field :
+       {&Params::max_tx_prob, &Params::pullback_prob_log_exp,
+        &Params::pullback_prob_scale, &Params::pullback_len_log_exp,
+        &Params::pullback_window_frac, &Params::anarchist_log_exp,
+        &Params::energy_spread_frac}) {
+    p = Params{};
+    p.*field = nan;
+    EXPECT_THROW(p.validate(), std::invalid_argument);
+  }
 }
 
 TEST(Params, BroadcastStepsConventions) {
