@@ -16,7 +16,7 @@
 // --threads value), --metrics=path.json (metrics-registry snapshot),
 // --feedback=<model>[:param] (channel feedback semantics:
 // ternary | binary_ack | collision_as_silence | noisy[:eps] |
-// capture[:alpha]; see sim/channel.hpp), --collision-cost=c (a perceived
+// capture[:alpha] | unaware_no_cd; see sim/channel.hpp), --collision-cost=c (a perceived
 // collision freezes the channel for c-1 extra slots; default 1 = the
 // paper's channel; see sim/simulator.hpp), --fast-forward=off|on|validate
 // (event-driven idle-slot skipping; default off), --channels=K[:migrate[:N]]
@@ -70,7 +70,9 @@ struct CommonArgs {
   int threads;
   /// Channel feedback semantics from --feedback=<model>[:param] (see
   /// channel.hpp; "ternary", "binary_ack", "collision_as_silence",
-  /// "noisy[:eps]", "capture[:alpha]"). Defaults to ternary —
+  /// "noisy[:eps]", "capture[:alpha]", "unaware_no_cd" — E17's channel,
+  /// whose loss of collision detection protocols are not told about).
+  /// Defaults to ternary —
   /// bit-identical to a build without the flag. Pass via
   /// analysis::RunOptions::feedback or SimConfig::feedback.
   sim::FeedbackModel feedback;
