@@ -324,6 +324,48 @@ TEST(Faults, PinnedFaultedRunsAreUnchanged) {
   EXPECT_EQ(fault_pin(c), 0xa93e7ab9955b4748ULL);
 }
 
+// The paper's own protocols under every fault source, k = 1. The kGolden*
+// digests are fault-free, and clock skew and stalls are the only inputs
+// that make a job's slot view jump: PUNCTUAL's slots-since-release and
+// ALIGNED's tracker index then cross several round or window boundaries
+// at once, which fault-free runs never do.
+TEST(Faults, PinnedFaultedPaperProtocolRuns) {
+  core::Params params;
+  params.lambda = 2;
+  params.tau = 8;
+  params.min_class = 8;
+  SimConfig config;
+  config.record_slots = true;
+  config.faults = full_plan();
+
+  util::Rng aligned_rng(31);
+  workload::AlignedConfig aligned_config;
+  aligned_config.min_class = 8;
+  aligned_config.max_class = 10;
+  aligned_config.horizon = 1 << 12;
+  config.seed = 37;
+  const auto a =
+      run(workload::gen_aligned(aligned_config, aligned_rng),
+          *core::make_protocol("aligned", params), config);
+
+  util::Rng general_rng(41);
+  workload::GeneralConfig general_config;
+  general_config.min_window = 1 << 8;
+  general_config.max_window = 1 << 10;
+  general_config.horizon = 1 << 12;
+  config.seed = 43;
+  const auto p =
+      run(workload::gen_general(general_config, general_rng),
+          *core::make_protocol("punctual", params), config);
+
+  for (const SimResult* r : {&a, &p}) {
+    EXPECT_GT(r->metrics.clock_skew_events, 0);
+    EXPECT_GT(r->metrics.restarts, 0);
+  }
+  EXPECT_EQ(fault_pin(a), 0x890cbf03acaa82aaULL);
+  EXPECT_EQ(fault_pin(p), 0x68df4ce6b4a1233bULL);
+}
+
 // A faulted streaming run keeps its memory bounded by the live set (DESIGN.md
 // §6j): each job's fault state lives and is compacted with its other
 // per-job arrays. Measured as the growth of the process's peak RSS from a
