@@ -31,12 +31,16 @@
 // the console table or CSV, so those artifacts stay byte-stable across
 // runs.
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "analysis/runner.hpp"
@@ -94,22 +98,39 @@ struct CommonArgs {
   std::optional<sim::ArrivalSpec> arrivals;
 };
 
-/// Parses the shared flags with harness-specific defaults.
+/// Parses the shared flags with harness-specific defaults. A malformed
+/// number, `--reps` below 1 or a negative `--threads` prints one `error:`
+/// line and exits 2.
 inline CommonArgs parse_common(const util::Args& args, int default_reps,
                                std::uint64_t default_seed = 1) {
   CommonArgs c;
   c.quick = args.get_bool("quick", false);
-  c.reps = static_cast<int>(args.get_int("reps", default_reps));
+  try {
+    const std::int64_t reps = args.get_int("reps", default_reps);
+    if (reps < 1 || reps > std::numeric_limits<int>::max()) {
+      throw std::invalid_argument("--reps must be in [1, 2^31), got " +
+                                  std::to_string(reps));
+    }
+    c.reps = static_cast<int>(reps);
+    c.seed = static_cast<std::uint64_t>(args.get_int("seed", default_seed));
+    const std::int64_t threads = args.get_int("threads", 0);
+    if (threads < 0 || threads > std::numeric_limits<int>::max()) {
+      throw std::invalid_argument("--threads must be in [0, 2^31), got " +
+                                  std::to_string(threads));
+    }
+    c.threads = static_cast<int>(threads);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    std::exit(2);
+  }
   if (c.quick) {
     c.reps = std::max(1, c.reps / 4);
   }
-  c.seed = static_cast<std::uint64_t>(args.get_int("seed", default_seed));
   c.csv = args.get("csv", "");
   c.json = args.get("json", "");
   c.trace_events = args.get("trace-events", "");
   c.timeline = args.get("timeline", "");
   c.metrics = args.get("metrics", "");
-  c.threads = static_cast<int>(args.get_int("threads", 0));
   const std::string spec = args.get("feedback", "ternary");
   if (const auto model = sim::parse_feedback_spec(spec, std::cerr)) {
     c.feedback = *model;

@@ -9,11 +9,13 @@
 // Workloads: aligned | general | batch | starvation | periodic.
 // Protocols: see --list.
 
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "analysis/runner.hpp"
 #include "core/registry.hpp"
@@ -257,6 +259,9 @@ int run_cli(int argc, char** argv) {
   config.faults.feedback_corrupt_rate = args.get_double("fault-corrupt", 0);
   config.faults.feedback_loss_rate = args.get_double("fault-loss", 0);
   config.faults.crash_rate = args.get_double("fault-crash", 0);
+  obs::WatchdogConfig wd_config;
+  wd_config.contention_cap = args.get_double("watchdog-cap", 0.0);
+  wd_config.settle_slots = args.get_int("watchdog-settle", 0);
   // Reject every bad value before any run: one error line and exit 2, never
   // an exception escaping a worker thread.
   try {
@@ -265,6 +270,25 @@ int run_cli(int argc, char** argv) {
     if (!arrivals && workload == "batch" && window < 1) {
       throw std::invalid_argument("--window must be >= 1, got " +
                                   std::to_string(window));
+    }
+    if (args.has("n") && n < 1) {
+      throw std::invalid_argument("--n must be >= 1, got " +
+                                  std::to_string(n));
+    }
+    if (threads < 0) {
+      throw std::invalid_argument("--threads must be >= 0, got " +
+                                  std::to_string(threads));
+    }
+    // A NaN fails this test too.
+    if (!(std::isfinite(wd_config.contention_cap) &&
+          wd_config.contention_cap >= 0.0)) {
+      throw std::invalid_argument(
+          "--watchdog-cap must be finite and >= 0, got " +
+          args.get("watchdog-cap", ""));
+    }
+    if (wd_config.settle_slots < 0) {
+      throw std::invalid_argument("--watchdog-settle must be >= 0, got " +
+                                  std::to_string(wd_config.settle_slots));
     }
     if (reps < 1) {
       throw std::invalid_argument("--reps must be >= 1, got " +
@@ -299,9 +323,6 @@ int run_cli(int argc, char** argv) {
   const std::string metrics_path = args.get("metrics", "");
   const bool watchdog_strict = args.has("watchdog-strict");
   const bool watchdog_on = args.has("watchdog") || watchdog_strict;
-  obs::WatchdogConfig wd_config;
-  wd_config.contention_cap = args.get_double("watchdog-cap", 0.0);
-  wd_config.settle_slots = args.get_int("watchdog-settle", 0);
   std::int64_t watchdog_violations = 0;
   if (!trace_path.empty() || !jobs_path.empty() || !faults_path.empty() ||
       !events_path.empty() || !jsonl_path.empty() || watchdog_on) {

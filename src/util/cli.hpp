@@ -29,12 +29,14 @@ class Args {
                                 const std::string& fallback = "") const;
 
   /// Integer value of `key` (base 10), or `fallback` when absent.
-  /// Throws std::invalid_argument on malformed numbers.
+  /// Throws std::invalid_argument naming the flag on malformed or
+  /// out-of-range numbers.
   [[nodiscard]] std::int64_t get_int(const std::string& key,
                                      std::int64_t fallback) const;
 
   /// Double value of `key`, or `fallback` when absent.
-  /// Throws std::invalid_argument on malformed numbers.
+  /// Throws std::invalid_argument naming the flag on malformed or
+  /// out-of-range numbers.
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;
 

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "util/cli.hpp"
 #include "util/math.hpp"
@@ -354,10 +356,30 @@ TEST(Args, Fallbacks) {
 }
 
 TEST(Args, MalformedNumbersThrow) {
-  const char* argv[] = {"prog", "--x=12abc"};
-  Args args(2, argv);
+  const char* argv[] = {"prog", "--x=12abc", "--word=abc",
+                        "--huge=99999999999999999999"};
+  Args args(4, argv);
   EXPECT_THROW((void)args.get_int("x", 0), std::invalid_argument);
   EXPECT_THROW((void)args.get_double("x", 0), std::invalid_argument);
+  // Each error names the flag, so a harness can print it as one line.
+  const auto message = [&args](const char* key, bool as_int) {
+    try {
+      if (as_int) {
+        (void)args.get_int(key, 0);
+      } else {
+        (void)args.get_double(key, 0);
+      }
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  for (const bool as_int : {true, false}) {
+    EXPECT_NE(message("x", as_int).find("--x"), std::string::npos);
+    EXPECT_NE(message("word", as_int).find("--word"), std::string::npos);
+  }
+  EXPECT_NE(message("huge", true).find("--huge"), std::string::npos);
+  EXPECT_DOUBLE_EQ(args.get_double("huge", 0), 1e20);
 }
 
 TEST(Args, BoolValueForms) {
