@@ -32,29 +32,4 @@ BroadcastSchedule::BroadcastSchedule(const Params& params, int level,
   assert(total_ == params.broadcast_steps(level, estimate));
 }
 
-BroadcastSchedule::Position BroadcastSchedule::position(
-    std::int64_t step) const {
-  assert(step >= 0 && step < total_);
-  // Binary search for the phase containing `step`.
-  std::size_t lo = 0;
-  std::size_t hi = lens_.size() - 1;
-  while (lo < hi) {
-    const std::size_t mid = (lo + hi + 1) / 2;
-    if (starts_[mid] <= step) {
-      lo = mid;
-    } else {
-      hi = mid - 1;
-    }
-  }
-  const std::int64_t x = lens_[lo];
-  const std::int64_t within_phase = step - starts_[lo];
-  Position pos;
-  pos.subphase_len = x;
-  pos.offset = within_phase % x;
-  // Subphase id: λ subphases per earlier phase plus the index here.
-  pos.subphase_id =
-      static_cast<std::int64_t>(lo) * lambda_ + within_phase / x;
-  return pos;
-}
-
 }  // namespace crmd::core::aligned

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <optional>
@@ -33,6 +35,10 @@ namespace crmd::core::aligned {
 
 /// Replicated per-job view of the pecking order across classes
 /// [min_class, own_class].
+///
+/// Every live job steps its replica once per slot, so begin_slot and
+/// end_slot are defined here and inline into the protocols' per-slot path;
+/// reset_class, which runs only at a window boundary, stays out of line.
 class Tracker {
  public:
   /// Tracks classes min_class..own_class (inclusive); requires
@@ -47,7 +53,41 @@ class Tracker {
   /// reset; on the first call all tracked classes start fresh. Fault-free
   /// (first call at the owning job's window start, consecutive slots) this
   /// is exactly the §3 "reset at critical times" rule.
-  void begin_slot(Slot t);
+  void begin_slot(Slot t) {
+    // Slots may arrive with gaps (clock skew slips the perceived index
+    // ahead; crash/stall faults make a job miss slots entirely), but never
+    // backwards.
+    assert(t >= 0);
+    assert(!started_ || t > last_slot_);
+    const bool first = !started_;
+    started_ = true;
+    const Slot prev = last_slot_;
+    last_slot_ = t;
+
+    // Reset iff a window boundary (multiple of 2^cls) lies in (prev, t],
+    // i.e. iff t >> cls > prev >> cls. As 0 <= prev < t, that holds exactly
+    // for the classes up to the highest bit in which t and prev differ, so
+    // one bit scan finds them all, with no division. On the first call
+    // every tracked class starts fresh; fault-free, the first slot is the
+    // owning job's window start — a boundary for every tracked (smaller)
+    // class — and later slots are consecutive, so this reduces exactly to
+    // the textbook "reset when t % 2^cls == 0" rule.
+    int top = own_class_;
+    if (!first) {
+      const auto diff = static_cast<std::uint64_t>(t ^ prev);
+      top = std::min(top, static_cast<int>(std::bit_width(diff)) - 1);
+    }
+    for (int cls = min_class_; cls <= top; ++cls) {
+      reset_class(cls);
+    }
+    active_ = -1;
+    for (int cls = min_class_; cls <= own_class_; ++cls) {
+      if (!state(cls).complete) {
+        active_ = cls;
+        break;
+      }
+    }
+  }
 
   /// The class taking an active step this slot, or -1 when every tracked
   /// class has completed. Valid between begin_slot and end_slot.
@@ -55,7 +95,31 @@ class Tracker {
 
   /// Finishes slot `t` with the observed channel outcome, advancing the
   /// active class's algorithm by one active step.
-  void end_slot(sim::SlotOutcome outcome);
+  void end_slot(sim::SlotOutcome outcome) {
+    assert(started_);
+    if (active_ == -1) {
+      return;
+    }
+    ClassState& c = state(active_);
+    assert(!c.complete);
+    if (c.estimation.has_value()) {
+      c.estimation->record(outcome);
+      if (c.estimation->complete()) {
+        c.estimate = c.estimation->estimate();
+        c.broadcast.emplace(params_, active_, c.estimate);
+        c.estimation.reset();
+        if (c.broadcast->total_steps() == 0) {
+          c.complete = true;  // believed-empty class: nothing to broadcast
+        }
+      }
+      return;
+    }
+    assert(c.broadcast.has_value());
+    ++c.broadcast_step;
+    if (c.broadcast_step >= c.broadcast->total_steps()) {
+      c.complete = true;
+    }
+  }
 
   /// Read-only snapshot of one tracked class's progress.
   struct ClassView {

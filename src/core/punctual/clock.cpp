@@ -10,24 +10,9 @@ void RoundClock::sync(Slot anchor) noexcept {
   synced_ = true;
 }
 
-std::int64_t RoundClock::offset(Slot t) const noexcept {
-  assert(synced_ && t >= anchor_);
-  return (t - anchor_) % kRoundLength;
-}
-
-std::int64_t RoundClock::local_round(Slot t) const noexcept {
-  assert(synced_ && t >= anchor_);
-  return (t - anchor_) / kRoundLength;
-}
-
 void RoundClock::set_frame(std::int64_t leader_time, Slot t) noexcept {
   frame_base_ = leader_time - local_round(t);
   frame_known_ = true;
-}
-
-std::int64_t RoundClock::leader_round(Slot t) const noexcept {
-  assert(frame_known_);
-  return local_round(t) + frame_base_;
 }
 
 bool RoundClock::frame_matches(std::int64_t leader_time,

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 
 #include "core/punctual/round.hpp"
@@ -20,7 +21,9 @@
 
 namespace crmd::core::punctual {
 
-/// Round-grid plus leader-frame bookkeeping for one job.
+/// Round-grid plus leader-frame bookkeeping for one job. The queries a job
+/// makes every slot are defined here so they inline into the protocol's
+/// per-slot path; the state changes (sync, a new frame) stay out of line.
 class RoundClock {
  public:
   /// True once the job knows the round grid.
@@ -31,7 +34,10 @@ class RoundClock {
 
   /// Offset of slot `t` within its round (0 .. kRoundLength-1). Requires
   /// synced() and t >= anchor.
-  [[nodiscard]] std::int64_t offset(Slot t) const noexcept;
+  [[nodiscard]] std::int64_t offset(Slot t) const noexcept {
+    assert(synced_ && t >= anchor_);
+    return (t - anchor_) % kRoundLength;
+  }
 
   /// Role of slot `t`. Requires synced().
   [[nodiscard]] SlotType type(Slot t) const noexcept {
@@ -39,7 +45,10 @@ class RoundClock {
   }
 
   /// Rounds elapsed since the anchor (the round containing `t`).
-  [[nodiscard]] std::int64_t local_round(Slot t) const noexcept;
+  [[nodiscard]] std::int64_t local_round(Slot t) const noexcept {
+    assert(synced_ && t >= anchor_);
+    return (t - anchor_) / kRoundLength;
+  }
 
   /// True once a leader's time broadcast fixed the leader frame.
   [[nodiscard]] bool frame_known() const noexcept { return frame_known_; }
@@ -50,7 +59,10 @@ class RoundClock {
 
   /// Leader-frame index of the round containing `t`. Requires
   /// frame_known().
-  [[nodiscard]] std::int64_t leader_round(Slot t) const noexcept;
+  [[nodiscard]] std::int64_t leader_round(Slot t) const noexcept {
+    assert(frame_known_);
+    return local_round(t) + frame_base_;
+  }
 
   /// True when a heartbeat claiming `leader_time` at slot `t` matches the
   /// currently extrapolated frame (i.e. the same leader lineage continues).

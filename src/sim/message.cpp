@@ -18,44 +18,4 @@ const char* to_string(MessageKind kind) noexcept {
   return "unknown";
 }
 
-Message make_data(JobId sender) noexcept {
-  Message m;
-  m.kind = MessageKind::kData;
-  m.sender = sender;
-  return m;
-}
-
-Message make_control(JobId sender) noexcept {
-  Message m;
-  m.kind = MessageKind::kControl;
-  m.sender = sender;
-  return m;
-}
-
-Message make_start(JobId sender) noexcept {
-  Message m;
-  m.kind = MessageKind::kStart;
-  m.sender = sender;
-  return m;
-}
-
-Message make_leader_claim(JobId sender, std::int64_t deadline_in) noexcept {
-  Message m;
-  m.kind = MessageKind::kLeaderClaim;
-  m.sender = sender;
-  m.deadline_in = deadline_in;
-  return m;
-}
-
-Message make_timekeeper(JobId sender, std::int64_t time,
-                        std::int64_t deadline_in, bool abdicating) noexcept {
-  Message m;
-  m.kind = MessageKind::kTimekeeper;
-  m.sender = sender;
-  m.time = time;
-  m.deadline_in = deadline_in;
-  m.abdicating = abdicating;
-  return m;
-}
-
 }  // namespace crmd::sim

@@ -64,22 +64,54 @@ struct Message {
   bool abdicating = false;
 };
 
+// The builders below run whenever a job transmits, so they are defined
+// here and inline into the protocols' per-slot path.
+
 /// Builds a plain data message.
-[[nodiscard]] Message make_data(JobId sender) noexcept;
+[[nodiscard]] inline Message make_data(JobId sender) noexcept {
+  Message m;
+  m.kind = MessageKind::kData;
+  m.sender = sender;
+  return m;
+}
 
 /// Builds an estimation probe.
-[[nodiscard]] Message make_control(JobId sender) noexcept;
+[[nodiscard]] inline Message make_control(JobId sender) noexcept {
+  Message m;
+  m.kind = MessageKind::kControl;
+  m.sender = sender;
+  return m;
+}
 
 /// Builds a round-start marker.
-[[nodiscard]] Message make_start(JobId sender) noexcept;
+[[nodiscard]] inline Message make_start(JobId sender) noexcept {
+  Message m;
+  m.kind = MessageKind::kStart;
+  m.sender = sender;
+  return m;
+}
 
 /// Builds a leader claim with the sender's relative deadline.
-[[nodiscard]] Message make_leader_claim(JobId sender,
-                                        std::int64_t deadline_in) noexcept;
+[[nodiscard]] inline Message make_leader_claim(
+    JobId sender, std::int64_t deadline_in) noexcept {
+  Message m;
+  m.kind = MessageKind::kLeaderClaim;
+  m.sender = sender;
+  m.deadline_in = deadline_in;
+  return m;
+}
 
 /// Builds a timekeeper heartbeat.
-[[nodiscard]] Message make_timekeeper(JobId sender, std::int64_t time,
-                                      std::int64_t deadline_in,
-                                      bool abdicating = false) noexcept;
+[[nodiscard]] inline Message make_timekeeper(JobId sender, std::int64_t time,
+                                             std::int64_t deadline_in,
+                                             bool abdicating = false) noexcept {
+  Message m;
+  m.kind = MessageKind::kTimekeeper;
+  m.sender = sender;
+  m.time = time;
+  m.deadline_in = deadline_in;
+  m.abdicating = abdicating;
+  return m;
+}
 
 }  // namespace crmd::sim

@@ -13,7 +13,12 @@
 //    aging floor, across every exponent change;
 //  - PUNCTUAL: the declared anarchy and election probabilities against the
 //    Params functions of the window in force, before and after a recheck
-//    trim (the kWindowTrim trace events give the trimmed window).
+//    trim (the kWindowTrim trace events give the trimmed window);
+//  - RoundClock (defined in its header, so it inlines into PUNCTUAL's
+//    per-slot path): offset, slot type, local round and leader round
+//    against (t - anchor) % 11, slot_type of it, (t - anchor) / 11 and that
+//    plus the frame base, over random anchors and frame bases and random
+//    increasing slot sequences whose gaps (1 to 3·11) model skew and stalls.
 
 #include <gtest/gtest.h>
 
@@ -28,7 +33,9 @@
 #include "core/aligned/tracker.hpp"
 #include "core/nocd/protocol.hpp"
 #include "core/params.hpp"
+#include "core/punctual/clock.hpp"
 #include "core/punctual/protocol.hpp"
+#include "core/punctual/round.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -463,6 +470,43 @@ TEST(HotPathEquivalence, PunctualDeclaredProbsFollowWindowInForce) {
   EXPECT_GT(desperate, 0);
   EXPECT_GT(trims, 0);
   EXPECT_GT(after_trim, 0) << "no anarchist slot after a trim was checked";
+}
+
+// ---------------------------------------------------------------------------
+// RoundClock
+
+TEST(HotPathEquivalence, RoundClockMatchesDivisionReference) {
+  using punctual::kRoundLength;
+  util::Rng rng(0x434C4F434BULL);
+  std::int64_t gaps_over_a_round = 0;
+  for (int c = 0; c < 200; ++c) {
+    punctual::RoundClock clock;
+    const Slot anchor = static_cast<Slot>(rng.below(std::uint64_t{1} << 20));
+    clock.sync(anchor);
+    Slot t = anchor + static_cast<Slot>(rng.below(3 * kRoundLength));
+    // A heartbeat heard now fixes base = leader_time - local_round(t).
+    const std::int64_t base =
+        static_cast<std::int64_t>(rng.below(std::uint64_t{1} << 30)) -
+        (std::int64_t{1} << 29);
+    clock.set_frame(base + (t - anchor) / kRoundLength, t);
+    ASSERT_TRUE(clock.frame_known());
+    for (int i = 0; i < 500; ++i) {
+      const std::int64_t offset = (t - anchor) % kRoundLength;
+      const std::int64_t local = (t - anchor) / kRoundLength;
+      ASSERT_EQ(clock.offset(t), offset) << "case " << c << " slot " << t;
+      ASSERT_EQ(clock.type(t), punctual::slot_type(offset))
+          << "case " << c << " slot " << t;
+      ASSERT_EQ(clock.local_round(t), local) << "case " << c << " slot " << t;
+      ASSERT_EQ(clock.leader_round(t), local + base)
+          << "case " << c << " slot " << t;
+      ASSERT_TRUE(clock.frame_matches(local + base, t));
+      ASSERT_FALSE(clock.frame_matches(local + base + 1, t));
+      const Slot gap = 1 + static_cast<Slot>(rng.below(3 * kRoundLength));
+      gaps_over_a_round += gap > kRoundLength ? 1 : 0;
+      t += gap;
+    }
+  }
+  EXPECT_GT(gaps_over_a_round, 0);
 }
 
 }  // namespace
