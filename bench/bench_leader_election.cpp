@@ -46,7 +46,6 @@ int main(int argc, char** argv) {
         sim::SimConfig config;
         config.seed = common.seed * 104729 +
                       static_cast<std::uint64_t>(rep * 13 + batch);
-        config.record_slots = false;
         config.tracer = trace.get();
         Slot first_claim = kNoSlot;
         sim::Simulation sim(workload::gen_batch(batch, w, 0), factory,

@@ -4,6 +4,7 @@
 #include <iosfwd>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -107,15 +108,25 @@ class Tracer {
   std::atomic<bool> closed_{false};
 };
 
-/// Collects events into a vector (tests, ad-hoc analysis).
+/// Collects events into a vector (tests, ad-hoc analysis): every event, or
+/// only those of one kind.
 class CollectSink final : public EventSink {
  public:
-  void on_event(const TraceEvent& event) override { events_.push_back(event); }
+  CollectSink() = default;
+  /// Keeps only the events of `kind` (e.g. kFault for a fault log).
+  explicit CollectSink(EventKind kind) : only_(kind) {}
+
+  void on_event(const TraceEvent& event) override {
+    if (!only_ || event.kind == *only_) {
+      events_.push_back(event);
+    }
+  }
   [[nodiscard]] const std::vector<TraceEvent>& events() const noexcept {
     return events_;
   }
 
  private:
+  std::optional<EventKind> only_;
   std::vector<TraceEvent> events_;
 };
 

@@ -62,9 +62,6 @@ FaultInjector::FaultInjector(const FaultPlan& plan, std::uint64_t seed)
 void FaultInjector::record(Slot slot, FaultKind kind, JobId job) {
   ++counts_[static_cast<std::size_t>(kind)];
   ++total_;
-  if (record_events_) {
-    events_.push_back(FaultEvent{slot, kind, job});
-  }
   CRMD_TRACE(tracer_, obs::EventKind::kFault, slot, job,
              static_cast<std::int64_t>(kind), 0, 0.0, to_string(kind));
 }

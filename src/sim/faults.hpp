@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "sim/channel.hpp"
 #include "util/rng.hpp"
@@ -23,13 +22,14 @@
 ///   (b) an all-zero plan is a provable no-op: no stream is ever advanced,
 ///       so results are bit-identical to a fault-free run.
 ///
-/// Ownership: the injector owns the plan, the master fault stream, the
-/// counters and the recorded events; the caller owns each job's fault state
-/// (`FaultInjector::JobFaults`: the job's own stream, its skew and its
-/// stall/crash status) and hands it to the inline per-job-slot calls
-/// tick() and perceive(). The engine keeps that state in its per-job
-/// arrays, so there is no lookup into an id-keyed store per job-slot, and a
-/// streaming run compacts it with everything else it holds per job.
+/// Ownership: the injector owns the plan, the master fault stream and the
+/// counters, and emits each fault it injects to the run's tracer; the
+/// caller owns each job's fault state (`FaultInjector::JobFaults`: the
+/// job's own stream, its skew and its stall/crash status) and hands it to
+/// the inline per-job-slot calls tick() and perceive(). The engine keeps
+/// that state in its per-job arrays, so there is no lookup into an id-keyed
+/// store per job-slot, and a streaming run compacts it with everything else
+/// it holds per job.
 ///
 /// Fault taxonomy (each maps to one paper assumption):
 ///   feedback corruption — ternary feedback is exact. A corrupted listener
@@ -56,7 +56,8 @@ class Tracer;
 
 namespace crmd::sim {
 
-/// Kinds of injected fault events (recorded for traces and metrics).
+/// Kinds of injected fault events (counted in SimMetrics, and emitted as
+/// obs::EventKind::kFault trace events).
 enum class FaultKind : std::uint8_t {
   kFeedbackCorrupt,  ///< a listener perceived a degraded outcome
   kFeedbackLoss,     ///< a listener heard silence instead of the truth
@@ -67,16 +68,6 @@ enum class FaultKind : std::uint8_t {
 
 /// Human-readable fault-kind name.
 [[nodiscard]] const char* to_string(FaultKind kind) noexcept;
-
-/// One injected fault occurrence (kept when slot recording is on, so a
-/// trace shows exactly which perturbations produced it).
-struct FaultEvent {
-  Slot slot = 0;
-  FaultKind kind = FaultKind::kFeedbackCorrupt;
-  JobId job = kNoJob;
-
-  friend bool operator==(const FaultEvent&, const FaultEvent&) = default;
-};
 
 /// Declarative description of every fault source in a run. All rates are
 /// per live job per slot; 0 disables the source. The default plan injects
@@ -115,9 +106,9 @@ struct FaultPlan {
 };
 
 /// Executes a FaultPlan for one simulation. The injector owns the plan,
-/// the master fault stream, the per-kind counters, the recorded events and
-/// the tracer; the caller owns each job's JobFaults and passes it to every
-/// tick() and perceive() for that job. Each job draws from its own child
+/// the master fault stream, the per-kind counters and the tracer; the
+/// caller owns each job's JobFaults and passes it to every tick() and
+/// perceive() for that job. Each job draws from its own child
 /// stream of the master stream, so per-job fault randomness is stable under
 /// changes to the number of jobs, and replays from `(seed, plan)` are exact.
 class FaultInjector {
@@ -213,39 +204,23 @@ class FaultInjector {
   /// Per-kind counters.
   [[nodiscard]] std::int64_t count(FaultKind kind) const noexcept;
 
-  /// When enabled, every fault is kept as a FaultEvent (memory grows with
-  /// the fault count — meant for tests and small traces, mirroring
-  /// SimConfig::record_slots).
-  void set_record_events(bool record) noexcept { record_events_ = record; }
-
   /// Optional tracing session: every injection also emits an
-  /// obs::EventKind::kFault event (null = off; set by the simulator from
+  /// obs::EventKind::kFault event (slot, job, a = FaultKind) — the one
+  /// per-fault record a run keeps (null = off; set by the simulator from
   /// SimConfig::tracer).
   void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
 
-  /// The recorded events (empty unless recording was enabled).
-  [[nodiscard]] const std::vector<FaultEvent>& events() const noexcept {
-    return events_;
-  }
-
-  /// Moves the recorded events out (used by Simulation::finish).
-  [[nodiscard]] std::vector<FaultEvent> take_events() noexcept {
-    return std::move(events_);
-  }
-
  private:
   // The rare paths stay out of line: a crash (after its draw hit) and
-  // counting/recording/tracing one fault.
+  // counting/tracing one fault.
   JobHealth crash(JobFaults& jf, JobId id, Slot slot);
   void record(Slot slot, FaultKind kind, JobId job);
 
   FaultPlan plan_;
   util::Rng master_;
   SlotFeedback scratch_;  // perceive()'s perturbed feedback
-  std::vector<FaultEvent> events_;
   std::int64_t counts_[5] = {0, 0, 0, 0, 0};
   std::int64_t total_ = 0;
-  bool record_events_ = false;
   obs::Tracer* tracer_ = nullptr;
 };
 

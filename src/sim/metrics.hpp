@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "sim/channel.hpp"
-#include "sim/faults.hpp"
 #include "util/stats.hpp"
 #include "util/types.hpp"
 
@@ -13,8 +12,8 @@
 
 namespace crmd::sim {
 
-/// Snapshot of one resolved slot (recorded only when
-/// `SimConfig::record_slots` is on, or streamed to a SlotObserver).
+/// Snapshot of one resolved slot: SimMetrics folds every one, and a
+/// SlotObserver (Simulation::set_observer) receives each as it resolves.
 struct SlotRecord {
   Slot slot = 0;
   /// Outcome after jamming — what listeners perceived.
@@ -191,11 +190,6 @@ struct StreamSummary {
 struct SimResult {
   std::vector<JobResult> jobs;
   SimMetrics metrics;
-  /// Per-slot trace; empty unless recording was requested.
-  std::vector<SlotRecord> slots;
-  /// Every injected fault, in order; empty unless recording was requested
-  /// (or no faults were configured).
-  std::vector<FaultEvent> fault_events;
   /// Streaming-mode rolling job aggregate; zero-initialized (jobs == 0)
   /// for batch runs, which keep per-job results in `jobs` instead.
   StreamSummary stream;

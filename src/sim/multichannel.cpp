@@ -161,11 +161,6 @@ ShardedResult run_sharded(workload::Instance instance,
         "co-simulation path (jobs cannot cross OS threads mid-run); unset "
         "multichannel.migrate or drop to SimConfig::multichannel");
   }
-  if (config.record_slots) {
-    throw std::invalid_argument(
-        "run_sharded: per-slot records are a single-simulation artifact; "
-        "record_slots is not supported on the sharded path");
-  }
   instance.normalize();
   instance.validate();
   const int k = config.multichannel.channels;
@@ -240,11 +235,6 @@ ShardedStreamResult run_sharded_stream(const ShardArrivalGen& make_process,
   if (config.multichannel.migrate) {
     throw std::invalid_argument(
         "run_sharded_stream: migration is not supported on the sharded "
-        "path");
-  }
-  if (config.record_slots) {
-    throw std::invalid_argument(
-        "run_sharded_stream: record_slots is not supported on the sharded "
         "path");
   }
   const int k = config.multichannel.channels;

@@ -99,7 +99,7 @@ struct ShardedStreamResult {
 /// thread count (pinned in tests/test_multichannel.cpp). With a tracer,
 /// each shard's events are buffered and replayed in shard order (job ids
 /// inside the replayed events are shard-local). Rejects
-/// multichannel.migrate (jobs cannot cross OS threads) and record_slots.
+/// multichannel.migrate (jobs cannot cross OS threads).
 [[nodiscard]] ShardedResult run_sharded(workload::Instance instance,
                                         const ProtocolFactory& factory,
                                         SimConfig config, int threads = 1,

@@ -235,7 +235,6 @@ struct Simulation::Impl {
   std::size_t parked_inexact = 0;
 
   SimMetrics metrics;
-  std::vector<SlotRecord> slot_trace;
   SlotObserver observer;
 
   // Scratch buffers reused across slots. `transmitted` and `asleep` are
@@ -870,9 +869,6 @@ struct Simulation::Impl {
                  static_cast<std::int64_t>(ch.live),
                  static_cast<double>(ch.awake),
                  to_string(ch.listener.outcome));
-      if (config.record_slots) {
-        slot_trace.push_back(rec);
-      }
       if (observer) {
         observer(rec, ch.tx);
       }
@@ -1072,7 +1068,6 @@ struct Simulation::Impl {
     caps = config.feedback.caps();
     if (config.faults.any()) {
       injector = std::make_unique<FaultInjector>(config.faults, config.seed);
-      injector->set_record_events(config.record_slots);
       injector->set_tracer(config.tracer);
     }
     chans.resize(static_cast<std::size_t>(config.multichannel.channels));
@@ -1081,7 +1076,7 @@ struct Simulation::Impl {
         !config.faults.any() &&
         !(config.feedback.kind == FeedbackKind::kNoisy &&
           config.feedback.eps > 0.0) &&
-        !config.record_slots && config.multichannel.channels == 1;
+        config.multichannel.channels == 1;
     factory = job_factory;
     arena_owned = batch && factory.arena_aware();
     arrivals = std::move(process);
@@ -1316,9 +1311,7 @@ SimResult Simulation::finish() {
     result.metrics.clock_skew_events = inj.count(FaultKind::kClockSkew);
     result.metrics.crashes = inj.count(FaultKind::kCrash);
     result.metrics.restarts = inj.count(FaultKind::kRestart);
-    result.fault_events = s.injector->take_events();
   }
-  result.slots = std::move(s.slot_trace);
   // Feed the process-wide profiler so every harness (replication sweep or
   // hand-rolled loop) gets slots/sec — and the mega-scale meta fields —
   // for free.

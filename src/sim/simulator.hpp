@@ -66,8 +66,8 @@
 ///     with the job's fault state, and a job that declared sleep hears
 ///     silence whatever the channel did. Dark status and skew are read
 ///     from the fault state as in step 8; nothing changes them in between.
-/// 11. Records: one SlotRecord per channel feeds SimMetrics, record_slots
-///     and the SlotObserver. The slot's fault count goes to channel 0.
+/// 11. Records: one SlotRecord per channel feeds SimMetrics and the
+///     SlotObserver. The slot's fault count goes to channel 0.
 /// 12. Migration (with MultiChannelConfig::migrate): a transmitter on a
 ///     channel that ended in noise counts a collision, and rehashes onto a
 ///     fresh channel after every `migrate_after` of them.
@@ -120,8 +120,9 @@ class ArrivalProcess;
 /// Fast-forward silently disables itself (exactly `kOff` behavior) when the
 /// run has per-slot randomness or per-slot artifacts a skip cannot
 /// reproduce: a jammer, any fault plan, the noisy feedback model with
-/// eps > 0, record_slots, or multiple channels. A SlotObserver suppresses
-/// skips (but not parking) while installed.
+/// eps > 0, or multiple channels. A SlotObserver, the one way to record
+/// slots, suppresses skips (but not parking) while installed: every slot
+/// then resolves one by one, and its records are those of a `kOff` run.
 enum class FastForward {
   kOff,       ///< never skip (the default; bit-identical to the pre-FF engine)
   kOn,        ///< park dormant jobs and skip provably-silent runs
@@ -165,10 +166,6 @@ struct SimConfig {
   /// instance when <= 0.
   Slot horizon = 0;
 
-  /// When true, a SlotRecord is kept for every simulated slot (memory grows
-  /// with the horizon — meant for tests and small traces).
-  bool record_slots = false;
-
   /// The channel's feedback semantics (channel.hpp): how the true slot
   /// outcome is projected into what every observer perceives, and which
   /// ChannelCaps protocols are told about (via JobInfo::caps) so they can
@@ -199,7 +196,10 @@ struct SimConfig {
   /// traced run: emission points never touch protocol RNG streams. When
   /// set, the simulator emits channel-level events (job activate/retire,
   /// transmissions, slot resolution, success credits, faults) and every
-  /// protocol emits its state-machine events (see obs/events.hpp).
+  /// protocol emits its state-machine events (see obs/events.hpp). Its
+  /// kFault events are the run's only per-fault record (sim/trace.hpp
+  /// writes them as CSV); per-slot records come from
+  /// Simulation::set_observer.
   obs::Tracer* tracer = nullptr;
 
   /// Event-driven fast-forward across provably-silent runs of slots (see
@@ -234,7 +234,8 @@ struct SimConfig {
 };
 
 /// Optional per-slot tap for tests and experiment harnesses: called after
-/// each slot resolves with the record and the raw transmissions.
+/// each slot resolves with the record and the raw transmissions. The only
+/// way to see a run's SlotRecords; SimResult keeps none.
 using SlotObserver = std::function<void(
     const SlotRecord& record, std::span<const Transmission> transmissions)>;
 

@@ -3,6 +3,8 @@
 #include <fstream>
 #include <ostream>
 
+#include "sim/faults.hpp"
+
 namespace crmd::sim {
 
 void write_slot_trace_csv(std::ostream& out,
@@ -34,10 +36,13 @@ void write_job_results_csv(std::ostream& out,
 }
 
 void write_fault_events_csv(std::ostream& out,
-                            const std::vector<FaultEvent>& events) {
+                            std::span<const obs::TraceEvent> events) {
   out << "slot,kind,job\n";
-  for (const auto& ev : events) {
-    out << ev.slot << ',' << to_string(ev.kind) << ',' << ev.job << '\n';
+  for (const obs::TraceEvent& ev : events) {
+    if (ev.kind == obs::EventKind::kFault) {
+      out << ev.slot << ',' << to_string(static_cast<FaultKind>(ev.a)) << ','
+          << ev.job << '\n';
+    }
   }
 }
 
@@ -62,7 +67,7 @@ bool save_job_results_csv(const std::string& path,
 }
 
 bool save_fault_events_csv(const std::string& path,
-                           const std::vector<FaultEvent>& events) {
+                           std::span<const obs::TraceEvent> events) {
   std::ofstream out(path);
   if (!out) {
     return false;

@@ -1,20 +1,23 @@
 #pragma once
 
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "obs/events.hpp"
 #include "sim/metrics.hpp"
 
 /// \file trace.hpp
-/// CSV export of simulation artifacts: per-slot traces and per-job
-/// outcomes. Used by the CLI driver (`--trace`, `--jobs-csv`) and handy for
-/// offline plotting of any run.
+/// CSV export of simulation artifacts: per-slot traces, per-job outcomes
+/// and injected faults. Used by the CLI driver (`--trace`, `--jobs-csv`,
+/// `--faults-csv`) and handy for offline plotting of any run.
 
 namespace crmd::sim {
 
 /// Writes the slot trace as CSV: slot, outcome, success_kind, contention,
-/// transmitters, live_jobs, jammed, faults.
+/// transmitters, live_jobs, jammed, faults. The records come from a
+/// SlotObserver (Simulation::set_observer).
 void write_slot_trace_csv(std::ostream& out,
                           const std::vector<SlotRecord>& slots);
 
@@ -23,10 +26,12 @@ void write_slot_trace_csv(std::ostream& out,
 void write_job_results_csv(std::ostream& out,
                            const std::vector<JobResult>& jobs);
 
-/// Writes injected fault events as CSV: slot, kind, job (see faults.hpp;
-/// populated when the run recorded slots and had a non-empty FaultPlan).
+/// Writes the injected faults among `events` as CSV: slot, kind, job, one
+/// row per obs::EventKind::kFault event in order (kind named by
+/// to_string(FaultKind)); every other event is skipped. Feed it what a
+/// sink on SimConfig::tracer collected from a run with a FaultPlan.
 void write_fault_events_csv(std::ostream& out,
-                            const std::vector<FaultEvent>& events);
+                            std::span<const obs::TraceEvent> events);
 
 /// Convenience wrappers writing to a file path; return false on I/O error.
 bool save_slot_trace_csv(const std::string& path,
@@ -34,6 +39,6 @@ bool save_slot_trace_csv(const std::string& path,
 bool save_job_results_csv(const std::string& path,
                           const std::vector<JobResult>& jobs);
 bool save_fault_events_csv(const std::string& path,
-                           const std::vector<FaultEvent>& events);
+                           std::span<const obs::TraceEvent> events);
 
 }  // namespace crmd::sim

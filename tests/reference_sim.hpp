@@ -8,7 +8,9 @@
 // nothing is compacted, and an idle gap is walked slot by slot. The live
 // list is a plain swap-remove vector. Its order fixes the contention fold
 // order and the capture-winner index, so it is part of the contract the
-// engine must match.
+// engine must match. It always keeps the SlotRecord of every simulated
+// channel-slot and returns them beside its SimResult; its FaultInjector
+// emits kFault events to config.tracer, as the engine's does.
 //
 // Only leaf pieces of the engine are reused: resolve_slot,
 // degrade_feedback, FaultInjector, Jammer, shard_of, SimMetrics::record,
@@ -57,7 +59,7 @@ class ReferenceSim {
     cap_rng_ = seed.child(0x43415054ULL);      // "CAPT"
     if (config_.faults.any()) {
       injector_.emplace(config_.faults, config_.seed);
-      injector_->set_record_events(config_.record_slots);
+      injector_->set_tracer(config_.tracer);
     }
     horizon_ = config_.horizon > 0 ? config_.horizon : instance.max_deadline();
     const int k = config_.multichannel.channels;
@@ -79,7 +81,10 @@ class ReferenceSim {
     now_ = jobs_.empty() ? 0 : jobs_.front().result.release;
   }
 
-  sim::SimResult run() {
+  /// Runs to the end. Returns the result and, beside it, the SlotRecord of
+  /// every simulated channel-slot in order. Fault events go to
+  /// config.tracer's kFault stream, as the engine emits them.
+  std::pair<sim::SimResult, std::vector<sim::SlotRecord>> run() {
     while (step()) {
     }
     sim::SimResult out;
@@ -113,10 +118,8 @@ class ReferenceSim {
           injector_->count(sim::FaultKind::kClockSkew);
       out.metrics.crashes = injector_->count(sim::FaultKind::kCrash);
       out.metrics.restarts = injector_->count(sim::FaultKind::kRestart);
-      out.fault_events = injector_->take_events();
     }
-    out.slots = std::move(records_);
-    return out;
+    return {std::move(out), std::move(records_)};
   }
 
  private:
@@ -330,9 +333,7 @@ class ReferenceSim {
                                                 faults_before);
       }
       metrics_.record(rec);
-      if (config_.record_slots) {
-        records_.push_back(rec);
-      }
+      records_.push_back(rec);
     }
 
     // Migration: every migrate_after-th collision rehashes the job.

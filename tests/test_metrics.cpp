@@ -76,14 +76,13 @@ TEST(Metrics, SimResultRates) {
 
 TEST(Metrics, SlotRecordCarriesLiveJobsCount) {
   auto instance = test::instance_of({{0, 8}, {0, 8}, {4, 12}});
-  SimConfig config;
-  config.record_slots = true;
-  const auto result =
-      run(instance, test::script_factory({100}), config);
-  ASSERT_FALSE(result.slots.empty());
-  EXPECT_EQ(result.slots.front().live_jobs, 2u);
+  const auto slots =
+      test::run_recorded(instance, test::script_factory({100}), SimConfig{})
+          .slots;
+  ASSERT_FALSE(slots.empty());
+  EXPECT_EQ(slots.front().live_jobs, 2u);
   bool saw_three = false;
-  for (const auto& rec : result.slots) {
+  for (const auto& rec : slots) {
     if (rec.slot >= 4 && rec.slot < 8) {
       EXPECT_EQ(rec.live_jobs, 3u);
       saw_three = true;

@@ -249,15 +249,11 @@ TEST(RunSharded, ShardedJammerIsDeterministicPerShard) {
   EXPECT_GT(a.total.metrics.jammed_slots, 0);
 }
 
-TEST(RunSharded, RejectsMigrationAndRecordSlots) {
+TEST(RunSharded, RejectsMigration) {
   const auto instance = workload::gen_batch(8, 64);
   SimConfig config;
   config.multichannel.channels = 2;
   config.multichannel.migrate = true;
-  EXPECT_THROW(run_sharded(instance, uniform_factory(), config),
-               std::invalid_argument);
-  config.multichannel.migrate = false;
-  config.record_slots = true;
   EXPECT_THROW(run_sharded(instance, uniform_factory(), config),
                std::invalid_argument);
 }
@@ -298,17 +294,11 @@ TEST(RunShardedStream, ThreadInvariantAndBoundedMemory) {
   }
 }
 
-TEST(RunShardedStream, RejectsNullGeneratorAndRecordSlots) {
+TEST(RunShardedStream, RejectsNullGenerator) {
   SimConfig config;
   config.horizon = 1024;
   config.multichannel.channels = 2;
   EXPECT_THROW(run_sharded_stream(nullptr, uniform_factory(), config),
-               std::invalid_argument);
-  const ShardArrivalGen make_process = [](int) {
-    return std::make_unique<PoissonArrivals>(0.01, 64);
-  };
-  config.record_slots = true;
-  EXPECT_THROW(run_sharded_stream(make_process, uniform_factory(), config),
                std::invalid_argument);
 }
 

@@ -47,7 +47,6 @@ TEST(PunctualIntegration, LoneJobBecomesLeaderAndDeliversAtAbdication) {
   const auto instance = workload::gen_batch(1, 1 << 12, 0);
   sim::SimConfig config;
   config.seed = 5;
-  config.record_slots = true;
   const auto result = sim::run(instance, make_punctual_factory(p), config);
   ASSERT_EQ(result.successes(), 1);
   // A leader delivers its data in its final timekeeper slot, so the

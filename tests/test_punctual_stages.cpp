@@ -8,6 +8,7 @@
 
 #include "core/punctual/protocol.hpp"
 #include "sim/simulator.hpp"
+#include "test_helpers.hpp"
 #include "workload/generators.hpp"
 
 namespace crmd::core::punctual {
@@ -175,15 +176,14 @@ TEST(PunctualStages, StartMarkersKeepSyncSlotsBusy) {
   const Params p = base_params();
   sim::SimConfig config;
   config.seed = 6;
-  config.record_slots = true;
-  const auto result = sim::run(workload::gen_batch(1, 1 << 10, 0),
-                               make_punctual_factory(p), config);
-  EXPECT_GT(result.metrics.start_successes, 10);
+  const auto run = test::run_recorded(workload::gen_batch(1, 1 << 10, 0),
+                                      make_punctual_factory(p), config);
+  EXPECT_GT(run.result.metrics.start_successes, 10);
   // After sync (slot ~14), no run of kRoundLength+1 consecutive silent
   // slots until the job retires.
   int silent_run = 0;
   int max_silent_run = 0;
-  for (const auto& rec : result.slots) {
+  for (const auto& rec : run.slots) {
     if (rec.slot < 20) {
       continue;
     }

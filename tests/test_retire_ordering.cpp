@@ -178,10 +178,8 @@ TEST(RetireOrdering, ArenaFactoryMatchesHeapPathResults) {
             std::vector<Slot>{2});
       };
   auto instance = instance_of({{0, 8}, {3, 11}, {6, 14}});
-  SimConfig config;
-  config.record_slots = true;
-  const SimResult via_arena = run(instance, arena_factory, config);
-  const SimResult via_heap = run(instance, heap_only, config);
+  const SimResult via_arena = run(instance, arena_factory, SimConfig{});
+  const SimResult via_heap = run(instance, heap_only, SimConfig{});
   ASSERT_EQ(via_arena.jobs.size(), via_heap.jobs.size());
   for (std::size_t i = 0; i < via_arena.jobs.size(); ++i) {
     EXPECT_EQ(via_arena.jobs[i].success, via_heap.jobs[i].success);

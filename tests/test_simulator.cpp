@@ -12,6 +12,7 @@ namespace {
 
 using test::instance_of;
 using test::per_job_script_factory;
+using test::run_recorded;
 using test::script_factory;
 
 TEST(Simulator, LoneJobSucceeds) {
@@ -120,15 +121,14 @@ TEST(Simulator, DeterministicGivenSeed) {
 
 TEST(Simulator, RecordSlotsTracesEverySimulatedSlot) {
   auto instance = instance_of({{0, 5}});
-  SimConfig config;
-  config.record_slots = true;
-  const SimResult result = run(instance, script_factory({2}), config);
+  const auto slots =
+      run_recorded(instance, script_factory({2}), SimConfig{}).slots;
   // Slots 0,1,2 are simulated; the job retires on success at slot 2.
-  ASSERT_EQ(result.slots.size(), 3u);
-  EXPECT_EQ(result.slots[0].outcome, SlotOutcome::kSilence);
-  EXPECT_EQ(result.slots[2].outcome, SlotOutcome::kSuccess);
-  EXPECT_EQ(result.slots[2].success_kind, MessageKind::kData);
-  EXPECT_EQ(result.slots[2].transmitters, 1u);
+  ASSERT_EQ(slots.size(), 3u);
+  EXPECT_EQ(slots[0].outcome, SlotOutcome::kSilence);
+  EXPECT_EQ(slots[2].outcome, SlotOutcome::kSuccess);
+  EXPECT_EQ(slots[2].success_kind, MessageKind::kData);
+  EXPECT_EQ(slots[2].transmitters, 1u);
 }
 
 TEST(Simulator, ObserverSeesTransmissions) {
@@ -151,13 +151,12 @@ TEST(Simulator, ObserverSeesTransmissions) {
 
 TEST(Simulator, ContentionIsSumOfDeclaredProbs) {
   auto instance = instance_of({{0, 4}, {0, 4}, {0, 4}});
-  SimConfig config;
-  config.record_slots = true;
   // Script transmits at offset 1 with declared probability 1 each.
-  const SimResult result = run(instance, script_factory({1}), config);
-  ASSERT_GE(result.slots.size(), 2u);
-  EXPECT_DOUBLE_EQ(result.slots[0].contention, 0.0);
-  EXPECT_DOUBLE_EQ(result.slots[1].contention, 3.0);
+  const auto slots =
+      run_recorded(instance, script_factory({1}), SimConfig{}).slots;
+  ASSERT_GE(slots.size(), 2u);
+  EXPECT_DOUBLE_EQ(slots[0].contention, 0.0);
+  EXPECT_DOUBLE_EQ(slots[1].contention, 3.0);
 }
 
 TEST(Simulator, HorizonStopsEarly) {
@@ -253,15 +252,14 @@ TEST(Simulator, SteppingApiExposesLiveJobs) {
 
 TEST(Simulator, BlanketJamTurnsSuccessIntoNoise) {
   auto instance = instance_of({{0, 6}});
-  SimConfig config;
-  config.record_slots = true;
-  const SimResult result = run(instance, script_factory({2}), config,
-                               make_blanket_jammer(/*p_jam=*/1.0));
-  EXPECT_EQ(result.successes(), 0);
-  EXPECT_GT(result.metrics.jammed_slots, 0);
+  const auto run = run_recorded(instance, script_factory({2}), SimConfig{},
+                                make_blanket_jammer(/*p_jam=*/1.0));
+  EXPECT_EQ(run.result.successes(), 0);
+  EXPECT_GT(run.result.metrics.jammed_slots, 0);
   // The job's attempt slot became noise.
-  EXPECT_EQ(result.slots[2].outcome, SlotOutcome::kNoise);
-  EXPECT_TRUE(result.slots[2].jammed);
+  ASSERT_GT(run.slots.size(), 2u);
+  EXPECT_EQ(run.slots[2].outcome, SlotOutcome::kNoise);
+  EXPECT_TRUE(run.slots[2].jammed);
 }
 
 TEST(Simulator, ZeroProbJammerNeverFires) {
