@@ -98,6 +98,15 @@ struct CommonArgs {
   std::optional<sim::ArrivalSpec> arrivals;
 };
 
+/// An output file that could not be written fails the harness the way a
+/// malformed flag does: one `error: cannot write PATH` line and exit 2.
+inline void require_written(bool written, const std::string& path) {
+  if (!written) {
+    std::cerr << "error: cannot write " << path << "\n";
+    std::exit(2);
+  }
+}
+
 /// Parses the shared flags with harness-specific defaults. A malformed
 /// number, `--reps` below 1 or a negative `--threads` prints one `error:`
 /// line and exits 2.
@@ -244,15 +253,10 @@ struct TraceSession {
     if (timeline) {
       // Rewritten on every call so multi-table harnesses end with the
       // full aggregate; the message prints once.
-      const bool ok = timeline->save_json(timeline_path);
+      require_written(timeline->save_json(timeline_path), timeline_path);
       if (!timeline_written) {
         timeline_written = true;
-        if (ok) {
-          std::cout << "(timeline written to " << timeline_path << ")\n";
-        } else {
-          std::cout << "(FAILED to write timeline to " << timeline_path
-                    << ")\n";
-        }
+        std::cout << "(timeline written to " << timeline_path << ")\n";
       }
     }
   }
@@ -282,8 +286,12 @@ inline TraceSession make_trace_session(const CommonArgs& common) {
   }
   session.tracer = std::make_unique<obs::Tracer>();
   if (!common.trace_events.empty()) {
-    session.tracer->add_sink(
-        std::make_shared<obs::ChromeTraceSink>(common.trace_events));
+    try {  // the sink opens its file here, to fail before any run
+      session.tracer->add_sink(
+          std::make_shared<obs::ChromeTraceSink>(common.trace_events));
+    } catch (const std::runtime_error&) {
+      require_written(false, common.trace_events);
+    }
     std::cout << "(tracing to " << common.trace_events << ")\n";
   }
   if (!common.timeline.empty()) {
@@ -352,14 +360,9 @@ inline void export_metrics(const CommonArgs& common, int threads) {
       .set(static_cast<double>(prof.slots()));
   reg.gauge("run.threads").set(static_cast<double>(threads));
   std::ofstream out(common.metrics);
-  if (out) {
-    reg.write_json(out);
-  }
-  if (out) {
-    std::cout << "(metrics written to " << common.metrics << ")\n";
-  } else {
-    std::cout << "(FAILED to write metrics to " << common.metrics << ")\n";
-  }
+  reg.write_json(out);
+  require_written(static_cast<bool>(out), common.metrics);
+  std::cout << "(metrics written to " << common.metrics << ")\n";
 }
 
 /// Prints the table (and saves CSV/JSON/metrics when requested). `header`
@@ -374,11 +377,8 @@ inline void emit(util::Table& table, const std::string& header,
   }
   table.print(std::cout, header);
   if (!common.csv.empty()) {
-    if (table.save_csv(common.csv)) {
-      std::cout << "(csv written to " << common.csv << ")\n";
-    } else {
-      std::cout << "(FAILED to write csv to " << common.csv << ")\n";
-    }
+    require_written(table.save_csv(common.csv), common.csv);
+    std::cout << "(csv written to " << common.csv << ")\n";
   }
   if (!common.json.empty()) {
     stamp_profile(table, analysis::resolve_threads(common.threads));
@@ -396,11 +396,8 @@ inline void emit(util::Table& table, const std::string& header,
       table.set_meta("timeline_events",
                      std::to_string(session->timeline->events_seen()));
     }
-    if (table.save_json(common.json)) {
-      std::cout << "(json written to " << common.json << ")\n";
-    } else {
-      std::cout << "(FAILED to write json to " << common.json << ")\n";
-    }
+    require_written(table.save_json(common.json), common.json);
+    std::cout << "(json written to " << common.json << ")\n";
   }
   export_metrics(common, analysis::resolve_threads(common.threads));
   std::cout << "\n";
