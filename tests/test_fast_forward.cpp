@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -27,6 +28,7 @@
 #include "sim/arrivals.hpp"
 #include "sim/jammer.hpp"
 #include "sim/simulator.hpp"
+#include "test_helpers.hpp"
 #include "workload/generators.hpp"
 
 namespace crmd::sim {
@@ -274,38 +276,58 @@ TEST(FastForward, MixedContentionPathsMatchValidateAndOff) {
 }
 
 // An observer suppresses skips but not parking, so every slot is stepped
-// with parked jobs contributing their promises: the per-slot contention
-// must equal kOff's bit for bit on both summation paths, and so must the
-// whole result.
+// with parked jobs contributing their promises: every field of every slot
+// record (the contention bit for bit, on both summation paths) and every
+// JobResult must equal kOff's, and so must the whole result. Recording a
+// run under fast-forward therefore yields the records of a kOff run.
 TEST(FastForward, ParkedContentionIsExactPerSlot) {
+  core::Params params;
+  params.lambda = 2;
+  util::Rng sparse_rng(5);
   const auto cases =
       std::vector<std::tuple<std::string, workload::Instance, ProtocolFactory>>{
           {"mixed", mixed_instance(64, 8), mixed_factory()},
           {"dyadic", mixed_instance(64, 8, true), mixed_factory(true)},
+          {"energy_beb/sparse",
+           workload::gen_poisson(0.004, 1024, 1 << 14, sparse_rng),
+           baselines::make_energy_beb_factory(params)},
       };
-  const auto observed = [](const workload::Instance& instance,
-                           const ProtocolFactory& factory, FastForward ff,
-                           std::vector<double>* out) {
-    SimConfig config;
-    config.seed = 3;
-    config.fast_forward = ff;
-    Simulation simulation(instance, factory, config);
-    simulation.set_observer(
-        [out](const SlotRecord& rec, std::span<const Transmission>) {
-          out->push_back(rec.contention);
-        });
-    return simulation.finish();
+  const auto slot_fields = [](const SlotRecord& r) {
+    return std::vector<std::uint64_t>{
+        static_cast<std::uint64_t>(r.slot),
+        static_cast<std::uint64_t>(r.outcome),
+        static_cast<std::uint64_t>(r.success_kind),
+        std::bit_cast<std::uint64_t>(r.contention),
+        r.transmitters,
+        r.live_jobs,
+        r.jammed ? 1U : 0U,
+        r.faults};
+  };
+  const auto job_fields = [](const JobResult& r) {
+    return std::vector<std::int64_t>{
+        r.id,           r.release,       r.deadline,   r.success ? 1 : 0,
+        r.success_slot, r.transmissions, r.live_slots, r.dark_slots,
+        r.listen_slots};
   };
   for (const auto& [name, instance, factory] : cases) {
-    std::vector<double> on_contention;
-    std::vector<double> off_contention;
-    const SimResult on =
-        observed(instance, factory, FastForward::kOn, &on_contention);
-    const SimResult off =
-        observed(instance, factory, FastForward::kOff, &off_contention);
-    EXPECT_FALSE(on_contention.empty()) << name;
-    EXPECT_EQ(on_contention, off_contention) << name;
-    EXPECT_EQ(sim_digest(on), sim_digest(off)) << name;
+    SimConfig config;
+    config.seed = 3;
+    config.fast_forward = FastForward::kOn;
+    const auto on = test::run_recorded(instance, factory, config);
+    config.fast_forward = FastForward::kOff;
+    const auto off = test::run_recorded(instance, factory, config);
+    EXPECT_FALSE(on.slots.empty()) << name;
+    ASSERT_EQ(on.slots.size(), off.slots.size()) << name;
+    for (std::size_t s = 0; s < on.slots.size(); ++s) {
+      EXPECT_EQ(slot_fields(on.slots[s]), slot_fields(off.slots[s]))
+          << name << " slot record " << s;
+    }
+    ASSERT_EQ(on.result.jobs.size(), off.result.jobs.size()) << name;
+    for (std::size_t j = 0; j < on.result.jobs.size(); ++j) {
+      EXPECT_EQ(job_fields(on.result.jobs[j]), job_fields(off.result.jobs[j]))
+          << name << " job " << j;
+    }
+    EXPECT_EQ(sim_digest(on.result), sim_digest(off.result)) << name;
   }
 }
 
