@@ -51,6 +51,7 @@
 #include "sim/arrivals.hpp"
 #include "sim/multichannel.hpp"
 #include "util/cli.hpp"
+#include "util/pool.hpp"
 #include "util/table.hpp"
 #include "workload/generators.hpp"
 
@@ -381,7 +382,7 @@ inline void emit(util::Table& table, const std::string& header,
     std::cout << "(csv written to " << common.csv << ")\n";
   }
   if (!common.json.empty()) {
-    stamp_profile(table, analysis::resolve_threads(common.threads));
+    stamp_profile(table, util::resolve_threads(common.threads));
     if (session != nullptr && session->tracer) {
       table.set_meta("trace_emitted", std::to_string(session->tracer->emitted()));
       table.set_meta("trace_dropped_events",
@@ -399,7 +400,7 @@ inline void emit(util::Table& table, const std::string& header,
     require_written(table.save_json(common.json), common.json);
     std::cout << "(json written to " << common.json << ")\n";
   }
-  export_metrics(common, analysis::resolve_threads(common.threads));
+  export_metrics(common, util::resolve_threads(common.threads));
   std::cout << "\n";
 }
 

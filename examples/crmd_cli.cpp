@@ -29,6 +29,7 @@
 #include "obs/watchdog.hpp"
 #include "sim/trace.hpp"
 #include "util/cli.hpp"
+#include "util/pool.hpp"
 #include "util/table.hpp"
 #include "workload/feasibility.hpp"
 #include "workload/generators.hpp"
@@ -489,7 +490,7 @@ int run_cli(int argc, char** argv) {
         .set(static_cast<double>(report.channel.slots_transmitting));
     reg.gauge("run.reps").set(static_cast<double>(reps));
     reg.gauge("run.threads")
-        .set(static_cast<double>(analysis::resolve_threads(threads)));
+        .set(static_cast<double>(util::resolve_threads(threads)));
     std::ofstream out(metrics_path);
     reg.write_json(out);
     require_written(static_cast<bool>(out), metrics_path);

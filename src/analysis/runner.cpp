@@ -1,47 +1,42 @@
 #include "analysis/runner.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <exception>
-#include <map>
-#include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
+#include "util/pool.hpp"
 
 namespace crmd::analysis {
 namespace {
 
-/// Seed stream tags. Both execution paths derive replication r's streams
-/// as master.child(kRepStream + r) — the determinism contract hangs on
-/// serial and parallel runs consuming identical streams.
+/// Seed stream tags: replication r derives its streams as
+/// master.child(kRepStream + r), whichever worker simulates it — the
+/// determinism contract hangs on every worker count consuming identical
+/// streams.
 constexpr std::uint64_t kRepStream = 0x5245504CULL;  // "REPL"
 constexpr std::uint64_t kJamStream = 0x4A414DULL;    // "JAM"
 
 /// Everything one replication produces before being folded into the
-/// report. Folding happens strictly in replication order with exactly the
-/// serial loop's accumulation operations, so the aggregate is bit-identical
-/// for every worker count.
+/// report. Folding happens strictly in replication order, so the aggregate
+/// is bit-identical for every worker count.
 struct RepOutcome {
   double jobs = 0.0;
   bool simulated = false;
   sim::SimResult result;
-  /// Trace events buffered per replication (only when the caller passed a
-  /// tracer): replayed into the shared tracer at fold time so sinks see
-  /// the exact stream a serial traced run would produce.
+  /// The replication's trace events when it recorded them privately
+  /// (obs::EventRecorder); replayed into the caller's tracer at fold time.
   std::vector<obs::TraceEvent> events;
 };
 
 /// Generates and simulates replication `rep`. Pure function of
 /// (rep, master-seed, inputs): touches no shared state beyond the
-/// (thread-safe) global profiler, so workers may run it concurrently.
+/// (thread-safe) global profiler and, with one worker, the caller's tracer,
+/// so workers may run it concurrently.
 RepOutcome simulate_one(int rep, const util::Rng& master,
                         const InstanceGen& gen,
                         const sim::ProtocolFactory& factory,
-                        const RunOptions& options, bool tracing) {
+                        const RunOptions& options, int workers) {
   obs::RunProfiler& prof = obs::global_profiler();
   RepOutcome out;
   util::Rng rep_rng =
@@ -54,6 +49,7 @@ RepOutcome simulate_one(int rep, const util::Rng& master,
   if (instance.empty()) {
     return out;
   }
+  obs::EventRecorder recorder(options.tracer, workers);
   sim::SimConfig config;
   config.seed = rep_rng.next_u64();
   config.faults = options.faults;
@@ -61,14 +57,7 @@ RepOutcome simulate_one(int rep, const util::Rng& master,
   config.collision_cost = options.collision_cost;
   config.fast_forward = options.fast_forward;
   config.multichannel = options.multichannel;
-  std::unique_ptr<obs::Tracer> local_tracer;
-  std::shared_ptr<obs::CollectSink> collect;
-  if (tracing) {
-    local_tracer = std::make_unique<obs::Tracer>();
-    collect = std::make_shared<obs::CollectSink>();
-    local_tracer->add_sink(collect);
-    config.tracer = local_tracer.get();
-  }
+  config.tracer = recorder.tracer();
   std::unique_ptr<sim::Jammer> jammer;
   if (options.jammer_gen) {
     jammer = options.jammer_gen(rep_rng.child(kJamStream));
@@ -78,145 +67,24 @@ RepOutcome simulate_one(int rep, const util::Rng& master,
     return sim::run(std::move(instance), factory, config, std::move(jammer));
   }();
   out.simulated = true;
-  if (local_tracer) {
-    local_tracer->close();
-    out.events = collect->events();
-  }
+  out.events = recorder.take();
   return out;
 }
 
 /// Folds one replication into the report. Must be called in replication
-/// order: the operation sequence below matches the serial loop's.
+/// order.
 void fold(ReplicationReport& report, RepOutcome&& out, obs::Tracer* tracer) {
   report.jobs_per_rep.add(out.jobs);
   if (out.simulated) {
     const auto scope = obs::global_profiler().phase("aggregate");
     report.outcomes.add_run(out.result);
     report.channel.merge(out.result.metrics);
-    for (const obs::TraceEvent& ev : out.events) {
-      CRMD_TRACE(tracer, ev.kind, ev.slot, ev.job, ev.a, ev.b, ev.x,
-                 ev.label);
-    }
+    obs::replay(tracer, out.events);
   }
   ++report.replications;
 }
 
-/// The serial path — byte for byte the engine's pre-parallel behavior
-/// (events stream straight into the tracer, no buffering).
-ReplicationReport run_serial(const InstanceGen& gen,
-                             const sim::ProtocolFactory& factory, int reps,
-                             std::uint64_t base_seed,
-                             const RunOptions& options) {
-  ReplicationReport report;
-  obs::RunProfiler& prof = obs::global_profiler();
-  const util::Rng master(base_seed);
-  for (int rep = 0; rep < reps; ++rep) {
-    util::Rng rep_rng =
-        master.child(kRepStream + static_cast<unsigned>(rep));
-    workload::Instance instance = [&] {
-      const auto scope = prof.phase("generate");
-      return gen(rep_rng);
-    }();
-    report.jobs_per_rep.add(static_cast<double>(instance.size()));
-    if (instance.empty()) {
-      ++report.replications;
-      continue;
-    }
-    sim::SimConfig config;
-    config.seed = rep_rng.next_u64();
-    config.faults = options.faults;
-    config.feedback = options.feedback;
-    config.collision_cost = options.collision_cost;
-    config.fast_forward = options.fast_forward;
-    config.multichannel = options.multichannel;
-    config.tracer = options.tracer;
-    std::unique_ptr<sim::Jammer> jammer;
-    if (options.jammer_gen) {
-      jammer = options.jammer_gen(rep_rng.child(kJamStream));
-    }
-    sim::SimResult result = [&] {
-      const auto scope = prof.phase("simulation");
-      return sim::run(std::move(instance), factory, config,
-                      std::move(jammer));
-    }();
-    {
-      const auto scope = prof.phase("aggregate");
-      report.outcomes.add_run(result);
-      report.channel.merge(result.metrics);
-    }
-    ++report.replications;
-  }
-  return report;
-}
-
-/// The parallel engine: `workers` threads claim replications off an atomic
-/// counter, simulate them independently, and park results in a pending map;
-/// whichever worker completes the next-in-order replication drains the map
-/// into the report (under the fold mutex), bounding buffered results to the
-/// out-of-order window.
-ReplicationReport run_parallel(const InstanceGen& gen,
-                               const sim::ProtocolFactory& factory, int reps,
-                               std::uint64_t base_seed,
-                               const RunOptions& options, int workers) {
-  ReplicationReport report;
-  const util::Rng master(base_seed);
-  std::atomic<int> next_rep{0};
-  std::mutex fold_mu;
-  std::map<int, RepOutcome> pending;
-  int next_fold = 0;
-  std::exception_ptr error;
-
-  const auto work = [&] {
-    for (;;) {
-      const int rep = next_rep.fetch_add(1, std::memory_order_relaxed);
-      if (rep >= reps) {
-        return;
-      }
-      try {
-        RepOutcome out = simulate_one(rep, master, gen, factory, options,
-                                      options.tracer != nullptr);
-        const std::lock_guard<std::mutex> lock(fold_mu);
-        pending.emplace(rep, std::move(out));
-        while (!pending.empty() && pending.begin()->first == next_fold) {
-          fold(report, std::move(pending.begin()->second), options.tracer);
-          pending.erase(pending.begin());
-          ++next_fold;
-        }
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(fold_mu);
-        if (!error) {
-          error = std::current_exception();
-        }
-        next_rep.store(reps, std::memory_order_relaxed);  // stop the pool
-        return;
-      }
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers - 1));
-  for (int i = 1; i < workers; ++i) {
-    pool.emplace_back(work);
-  }
-  work();
-  for (std::thread& t : pool) {
-    t.join();
-  }
-  if (error) {
-    std::rethrow_exception(error);
-  }
-  return report;
-}
-
 }  // namespace
-
-int resolve_threads(int requested) noexcept {
-  if (requested > 0) {
-    return requested;
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
-}
 
 ReplicationReport run_replications(const InstanceGen& gen,
                                    const sim::ProtocolFactory& factory,
@@ -236,12 +104,18 @@ ReplicationReport run_replications(const InstanceGen& gen,
                                    const sim::ProtocolFactory& factory,
                                    int reps, std::uint64_t base_seed,
                                    const RunOptions& options) {
-  const int workers =
-      std::min(resolve_threads(options.threads), std::max(reps, 1));
-  if (workers <= 1) {
-    return run_serial(gen, factory, reps, base_seed, options);
-  }
-  return run_parallel(gen, factory, reps, base_seed, options, workers);
+  ReplicationReport report;
+  const util::Rng master(base_seed);
+  const int workers = util::pool_workers(reps, options.threads);
+  util::run_ordered(
+      reps, options.threads,
+      [&](int rep) {
+        return simulate_one(rep, master, gen, factory, options, workers);
+      },
+      [&](int /*rep*/, RepOutcome&& out) {
+        fold(report, std::move(out), options.tracer);
+      });
+  return report;
 }
 
 }  // namespace crmd::analysis

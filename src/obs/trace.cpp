@@ -132,8 +132,7 @@ void Tracer::emit(EventKind kind, Slot slot, JobId job, std::int64_t a,
   }
 }
 
-void Tracer::flush() {
-  const std::lock_guard<std::mutex> lock(drain_mu_);
+void Tracer::drain() {
   // Draining with zero sinks is the one place events are lost (the
   // "tracing on, no sink" discard path); count them so truncated traces
   // cannot masquerade as complete.
@@ -150,6 +149,11 @@ void Tracer::flush() {
   });
 }
 
+void Tracer::flush() {
+  const std::lock_guard<std::mutex> lock(drain_mu_);
+  drain();
+}
+
 void Tracer::close() {
   if (closed_.exchange(true, std::memory_order_relaxed)) {
     return;
@@ -157,19 +161,34 @@ void Tracer::close() {
   // Late emitters may still be pushing; after `closed_` flips they stop,
   // and this final drain publishes everything already in the ring.
   const std::lock_guard<std::mutex> lock(drain_mu_);
-  if (sinks_.empty()) {
-    std::uint64_t lost = 0;
-    ring_.pop_all([&lost](const TraceEvent&) { ++lost; });
-    dropped_.fetch_add(lost, std::memory_order_relaxed);
-    return;
-  }
-  ring_.pop_all([this](const TraceEvent& ev) {
-    for (const auto& sink : sinks_) {
-      sink->on_event(ev);
-    }
-  });
+  drain();
   for (const auto& sink : sinks_) {
     sink->close();
+  }
+}
+
+// ---- EventRecorder --------------------------------------------------------
+
+EventRecorder::EventRecorder(Tracer* target, int workers) : tracer_(target) {
+  if (target != nullptr && workers > 1) {
+    local_ = std::make_unique<Tracer>();
+    sink_ = std::make_shared<CollectSink>();
+    local_->add_sink(sink_);
+    tracer_ = local_.get();
+  }
+}
+
+std::vector<TraceEvent> EventRecorder::take() {
+  if (!local_) {
+    return {};
+  }
+  local_->close();
+  return sink_->take();
+}
+
+void replay(Tracer* tracer, const std::vector<TraceEvent>& events) {
+  for (const TraceEvent& ev : events) {
+    CRMD_TRACE(tracer, ev.kind, ev.slot, ev.job, ev.a, ev.b, ev.x, ev.label);
   }
 }
 

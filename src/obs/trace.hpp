@@ -6,6 +6,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/events.hpp"
@@ -35,10 +36,11 @@
 /// (flush/close, and the inline drain when the ring fills) is serialized
 /// by a mutex, so sinks themselves never see concurrent on_event calls.
 /// With concurrent emitters the *interleaving* of events across threads
-/// is nondeterministic — the parallel replication engine therefore
-/// buffers per-replication events and replays them in replication order
-/// (see analysis/runner.cpp), which keeps sink streams bit-identical to
-/// a serial run.
+/// is nondeterministic — so runs on the worker pool (util/pool.hpp) trace
+/// through an EventRecorder: with one worker they emit straight into the
+/// caller's tracer; with several, each run records privately and its events
+/// are replayed in run order, which keeps sink streams bit-identical for
+/// every worker count.
 
 namespace crmd::obs {
 
@@ -100,6 +102,10 @@ class Tracer {
   }
 
  private:
+  /// Pops the ring into the sinks, or counts it as dropped when there are
+  /// none. The caller holds drain_mu_.
+  void drain();
+
   EventRing ring_;
   std::mutex drain_mu_;  // serializes sink access (flush/close/add_sink)
   std::vector<std::shared_ptr<EventSink>> sinks_;
@@ -124,11 +130,44 @@ class CollectSink final : public EventSink {
   [[nodiscard]] const std::vector<TraceEvent>& events() const noexcept {
     return events_;
   }
+  /// Moves the collected events out, leaving the sink empty.
+  [[nodiscard]] std::vector<TraceEvent> take() noexcept {
+    return std::exchange(events_, {});
+  }
 
  private:
   std::optional<EventKind> only_;
   std::vector<TraceEvent> events_;
 };
+
+/// The tracer one run of a pool of `workers` emits into, chosen so that the
+/// caller's tracer sees every run's events in run order. With one worker
+/// the runs go one after another on the calling thread, so a run emits
+/// straight into `target` and nothing is buffered. With more, each run
+/// records into a private tracer; take() hands its events back and the
+/// caller replay()s them into `target` when the run's turn comes. A null
+/// `target` means tracing is off: tracer() is null and take() empty.
+class EventRecorder {
+ public:
+  EventRecorder(Tracer* target, int workers);
+
+  /// What the run passes as its SimConfig::tracer.
+  [[nodiscard]] Tracer* tracer() const noexcept { return tracer_; }
+
+  /// Closes the private tracer and moves its events out (empty when the
+  /// run emitted straight into the target).
+  [[nodiscard]] std::vector<TraceEvent> take();
+
+ private:
+  std::unique_ptr<Tracer> local_;
+  std::shared_ptr<CollectSink> sink_;
+  Tracer* tracer_ = nullptr;
+};
+
+/// Re-emits recorded events into `tracer` in order; `tracer` stamps fresh
+/// seq numbers, so the stream matches one emitted there directly. No-op
+/// when `tracer` is null.
+void replay(Tracer* tracer, const std::vector<TraceEvent>& events);
 
 /// Writes one JSON object per event, newline-delimited (JSONL). The stream
 /// is borrowed and must outlive the sink.

@@ -18,10 +18,11 @@
 ///    a single Simulation resolve k sub-channels per time slot (supports
 ///    collision-count migration; serial).
 ///  - *Sharded parallel runs* (this file): the instance is hash-partitioned
-///    into k independent single-channel Simulations — one thread per shard
-///    — whose results are folded back in shard order, so the aggregate is
-///    bit-identical for every `--threads` value. Static partition only (a
-///    job cannot migrate across OS threads mid-run).
+///    into k independent single-channel Simulations, run as the tasks of
+///    the library's worker pool (util/pool.hpp), whose results are folded
+///    back in shard order, so the aggregate is bit-identical for every
+///    `--threads` value. Static partition only (a job cannot migrate across
+///    OS threads mid-run).
 ///
 /// Both paths place job `key` on channel `shard_of(seed, key, k)`, so the
 /// serial co-simulation and a sharded run of the same migration-free
@@ -57,11 +58,6 @@ namespace crmd::sim {
 /// may be null / return null (no jamming).
 using ShardJammerGen = std::function<std::unique_ptr<Jammer>(util::Rng)>;
 
-/// Builds shard `s`'s arrival process (streaming shards each own a process
-/// — e.g. Poisson at rate/k — rather than splitting one stream).
-using ShardArrivalGen =
-    std::function<std::unique_ptr<ArrivalProcess>(int shard)>;
-
 /// What a sharded batch run produces.
 struct ShardedResult {
   /// Folded results: `total.jobs` is indexed by the *original* instance
@@ -70,15 +66,6 @@ struct ShardedResult {
   /// shards and live_peak is the largest *per-shard* live set.
   SimResult total;
   /// Each shard's own channel metrics, in shard order.
-  std::vector<SimMetrics> per_shard;
-  int shards = 1;
-};
-
-/// What a sharded streaming run produces (per-job results are never kept —
-/// bounded memory is the point).
-struct ShardedStreamResult {
-  SimMetrics metrics;
-  StreamSummary stream;
   std::vector<SimMetrics> per_shard;
   int shards = 1;
 };
@@ -94,25 +81,17 @@ struct ShardedStreamResult {
 /// one horizon (config.horizon, defaulting to the *full* instance's max
 /// deadline).
 ///
-/// `threads` <= 0 means one worker per hardware thread; the fold is serial
-/// and in shard order regardless, so the result is bit-identical for every
-/// thread count (pinned in tests/test_multichannel.cpp). With a tracer,
-/// each shard's events are buffered and replayed in shard order (job ids
-/// inside the replayed events are shard-local). Rejects
-/// multichannel.migrate (jobs cannot cross OS threads).
+/// The shards run on util::run_ordered with `threads` workers (<= 0 means
+/// one per hardware thread) and fold in shard order, so the result is
+/// bit-identical for every thread count (pinned in
+/// tests/test_multichannel.cpp). With a tracer, the sinks see every shard's
+/// events in shard order for every thread count (obs::EventRecorder); job
+/// ids inside the events are shard-local. Rejects multichannel.migrate
+/// (jobs cannot cross OS threads).
 [[nodiscard]] ShardedResult run_sharded(workload::Instance instance,
                                         const ProtocolFactory& factory,
                                         SimConfig config, int threads = 1,
                                         const ShardJammerGen& jammer_gen =
                                             nullptr);
-
-/// Streaming analogue of run_sharded: shard s pulls jobs from
-/// `make_process(s)` and runs a single-channel streaming simulation to
-/// config.horizon (required > 0); metrics and stream summaries fold in
-/// shard order. Per-job results are always discarded
-/// (SimConfig::keep_job_results is forced off).
-[[nodiscard]] ShardedStreamResult run_sharded_stream(
-    const ShardArrivalGen& make_process, const ProtocolFactory& factory,
-    SimConfig config, int threads = 1);
 
 }  // namespace crmd::sim

@@ -1,8 +1,10 @@
 #pragma once
 
 // Shared helpers for the crmd test suite: a scriptable protocol for driving
-// the simulator deterministically, small instance builders, and a run that
-// records its slots and faults.
+// the simulator deterministically, small instance builders, a run that
+// records its slots and faults, and an event-stream comparison.
+
+#include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
@@ -126,6 +128,29 @@ RecordedRun run_recorded(Jobs jobs, const sim::ProtocolFactory& factory,
   tracer.close();
   out.faults = faults->events();
   return out;
+}
+
+/// Expects two collected event streams to be identical: same length and,
+/// event by event, the same seq, slot, kind, job, a, b, x and label text.
+inline void expect_events_identical(const std::vector<obs::TraceEvent>& want,
+                                    const std::vector<obs::TraceEvent>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const obs::TraceEvent& a = want[i];
+    const obs::TraceEvent& b = got[i];
+    EXPECT_EQ(a.seq, b.seq) << "event " << i;
+    EXPECT_EQ(a.slot, b.slot) << "event " << i;
+    EXPECT_EQ(a.kind, b.kind) << "event " << i;
+    EXPECT_EQ(a.job, b.job) << "event " << i;
+    EXPECT_EQ(a.a, b.a) << "event " << i;
+    EXPECT_EQ(a.b, b.b) << "event " << i;
+    EXPECT_EQ(a.x, b.x) << "event " << i;
+    if (a.label == nullptr || b.label == nullptr) {
+      EXPECT_EQ(a.label, b.label) << "event " << i;
+    } else {
+      EXPECT_STREQ(a.label, b.label) << "event " << i;
+    }
+  }
 }
 
 }  // namespace crmd::test

@@ -17,10 +17,11 @@
 #include "baselines/beb.hpp"
 #include "core/params.hpp"
 #include "core/uniform.hpp"
-#include "sim/arrivals.hpp"
+#include "obs/trace.hpp"
 #include "sim/jammer.hpp"
 #include "sim/multichannel.hpp"
 #include "sim/simulator.hpp"
+#include "test_helpers.hpp"
 #include "workload/generators.hpp"
 
 namespace crmd::sim {
@@ -258,48 +259,31 @@ TEST(RunSharded, RejectsMigration) {
                std::invalid_argument);
 }
 
-TEST(RunShardedStream, ThreadInvariantAndBoundedMemory) {
+TEST(RunSharded, TracedStreamIsIdenticalForEveryThreadCount) {
+  // One worker emits every shard straight into the caller's tracer; more
+  // workers record each shard privately and replay in shard order. The
+  // sinks must see the same stream either way.
+  const auto instance = workload::gen_batch(96, 512);
   SimConfig config;
-  config.seed = 41;
-  config.horizon = 1 << 14;
+  config.seed = 43;
   config.multichannel.channels = 4;
-  config.fast_forward = FastForward::kOn;
-  const ShardArrivalGen make_process = [](int) {
-    return std::make_unique<PoissonArrivals>(0.002, 256);
+  const auto collect = [&](int threads) {
+    obs::Tracer tracer;
+    const auto sink = std::make_shared<obs::CollectSink>();
+    tracer.add_sink(sink);
+    config.tracer = &tracer;
+    const ShardedResult r =
+        run_sharded(instance, uniform_factory(), config, threads);
+    tracer.close();
+    EXPECT_EQ(r.shards, 4);
+    return sink->take();
   };
-  const ShardedStreamResult serial =
-      run_sharded_stream(make_process, uniform_factory(), config, 1);
-  ASSERT_EQ(serial.shards, 4);
-  EXPECT_GT(serial.stream.jobs, 0);
-  EXPECT_GT(serial.stream.delivered, 0);
-
+  const std::vector<obs::TraceEvent> one = collect(1);
+  ASSERT_FALSE(one.empty());
   for (const int threads : {2, 8}) {
-    const ShardedStreamResult parallel =
-        run_sharded_stream(make_process, uniform_factory(), config, threads);
-    EXPECT_EQ(parallel.stream.jobs, serial.stream.jobs)
-        << "threads=" << threads;
-    EXPECT_EQ(parallel.stream.delivered, serial.stream.delivered)
-        << "threads=" << threads;
-    EXPECT_EQ(parallel.stream.latency.mean(), serial.stream.latency.mean())
-        << "threads=" << threads;
-    EXPECT_EQ(parallel.metrics.slots_simulated,
-              serial.metrics.slots_simulated)
-        << "threads=" << threads;
-    ASSERT_EQ(parallel.per_shard.size(), serial.per_shard.size());
-    for (std::size_t s = 0; s < serial.per_shard.size(); ++s) {
-      EXPECT_EQ(parallel.per_shard[s].slots_simulated,
-                serial.per_shard[s].slots_simulated)
-          << "threads=" << threads << " shard=" << s;
-    }
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    test::expect_events_identical(one, collect(threads));
   }
-}
-
-TEST(RunShardedStream, RejectsNullGenerator) {
-  SimConfig config;
-  config.horizon = 1024;
-  config.multichannel.channels = 2;
-  EXPECT_THROW(run_sharded_stream(nullptr, uniform_factory(), config),
-               std::invalid_argument);
 }
 
 }  // namespace

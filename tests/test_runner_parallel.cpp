@@ -5,12 +5,16 @@
 // protocols (UNIFORM / ALIGNED / PUNCTUAL and baselines), jamming
 // adversaries, non-trivial fault plans, and a many-replication stress
 // case. A failure here means replication-order dependence leaked into the
-// engine (shared RNG stream, out-of-order fold, racy accumulator).
+// engine (shared RNG stream, out-of-order fold, racy accumulator). The
+// RunOrdered tests pin the contract of the worker pool underneath.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "analysis/runner.hpp"
@@ -21,6 +25,8 @@
 #include "core/uniform.hpp"
 #include "obs/trace.hpp"
 #include "sim/jammer.hpp"
+#include "test_helpers.hpp"
+#include "util/pool.hpp"
 #include "workload/generators.hpp"
 
 namespace crmd::analysis {
@@ -133,10 +139,10 @@ InstanceGen aligned_gen() {
 }
 
 TEST(RunnerParallel, ResolveThreads) {
-  EXPECT_EQ(resolve_threads(1), 1);
-  EXPECT_EQ(resolve_threads(7), 7);
-  EXPECT_GE(resolve_threads(0), 1);   // hardware default
-  EXPECT_GE(resolve_threads(-3), 1);  // negative = auto too
+  EXPECT_EQ(util::resolve_threads(1), 1);
+  EXPECT_EQ(util::resolve_threads(7), 7);
+  EXPECT_GE(util::resolve_threads(0), 1);   // hardware default
+  EXPECT_GE(util::resolve_threads(-3), 1);  // negative = auto too
 }
 
 TEST(RunnerParallel, UniformBitIdentity) {
@@ -240,9 +246,10 @@ TEST(RunnerParallel, MoreWorkersThanRepsIsFine) {
 }
 
 TEST(RunnerParallel, TracedStreamsAreIdentical) {
-  // With a tracer attached, parallel workers buffer per-replication events
+  // With a tracer attached, parallel workers record per-replication events
   // and replay them at fold time — sinks must observe the byte-identical
-  // stream (same events, same order, same seq stamps) as a serial run.
+  // stream (same events, same order, same seq stamps) as a one-worker run,
+  // which emits straight into the tracer.
   core::Params params;
   params.lambda = 2;
   params.tau = 8;
@@ -266,24 +273,7 @@ TEST(RunnerParallel, TracedStreamsAreIdentical) {
   ASSERT_FALSE(serial.empty());
   for (const int threads : kThreadCounts) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    const std::vector<obs::TraceEvent> parallel = collect(threads);
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      const obs::TraceEvent& a = serial[i];
-      const obs::TraceEvent& b = parallel[i];
-      EXPECT_EQ(a.seq, b.seq) << "event " << i;
-      EXPECT_EQ(a.slot, b.slot) << "event " << i;
-      EXPECT_EQ(a.kind, b.kind) << "event " << i;
-      EXPECT_EQ(a.job, b.job) << "event " << i;
-      EXPECT_EQ(a.a, b.a) << "event " << i;
-      EXPECT_EQ(a.b, b.b) << "event " << i;
-      EXPECT_EQ(a.x, b.x) << "event " << i;
-      if (a.label == nullptr || b.label == nullptr) {
-        EXPECT_EQ(a.label, b.label) << "event " << i;
-      } else {
-        EXPECT_STREQ(a.label, b.label) << "event " << i;
-      }
-    }
+    test::expect_events_identical(serial, collect(threads));
   }
 }
 
@@ -299,6 +289,98 @@ TEST(RunnerParallel, GeneratorExceptionsPropagate) {
         (void)report;
       },
       std::runtime_error);
+}
+
+// ---------------------------------------------------------------------------
+// util::run_ordered, the pool under run_replications and run_sharded
+// ---------------------------------------------------------------------------
+
+TEST(RunOrdered, ConsumesInIndexOrderWhenIndexZeroFinishesLast) {
+  // produce(0) holds its worker until the other worker has produced every
+  // other index, so every later result waits in the pool's pending map;
+  // consume must still see 0..n-1 in order. The wait is bounded so that a
+  // pool that never runs the other indices fails instead of hanging.
+  constexpr int kN = 32;
+  std::atomic<int> others{0};
+  std::atomic<bool> timed_out{false};
+  std::vector<int> consumed;
+  util::run_ordered(
+      kN, 2,
+      [&](int i) {
+        if (i == 0) {
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (others.load() < kN - 1) {
+            if (std::chrono::steady_clock::now() > deadline) {
+              timed_out = true;
+              break;
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+        } else {
+          others.fetch_add(1);
+        }
+        return i * 10;
+      },
+      [&](int i, int value) {
+        EXPECT_EQ(value, i * 10);
+        consumed.push_back(i);
+      });
+  EXPECT_FALSE(timed_out) << "index 0 never saw the other indices produced";
+  ASSERT_EQ(consumed.size(), static_cast<std::size_t>(kN));
+  for (int i = 0; i < kN; ++i) {
+    EXPECT_EQ(consumed[static_cast<std::size_t>(i)], i);
+  }
+}
+
+TEST(RunOrdered, ProduceExceptionIsRethrownAfterTheJoin) {
+  constexpr int kN = 64;
+  constexpr int kFailing = 9;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::vector<int> consumed;
+    EXPECT_THROW(util::run_ordered(
+                     kN, threads,
+                     [&](int i) {
+                       if (i == kFailing) {
+                         throw std::runtime_error("produce failure");
+                       }
+                       return i;
+                     },
+                     [&](int i, int) { consumed.push_back(i); }),
+                 std::runtime_error);
+    // What was consumed is a prefix 0, 1, ... that stops short of kFailing.
+    EXPECT_LE(consumed.size(), static_cast<std::size_t>(kFailing));
+    for (std::size_t j = 0; j < consumed.size(); ++j) {
+      EXPECT_EQ(consumed[j], static_cast<int>(j));
+    }
+  }
+}
+
+TEST(RunOrdered, ZeroTasksCallsNothing) {
+  int calls = 0;
+  util::run_ordered(
+      0, 4,
+      [&](int) {
+        ++calls;
+        return 0;
+      },
+      [&](int, int) { ++calls; });
+  EXPECT_EQ(calls, 0);
+}
+
+TEST(RunOrdered, OneWorkerRunsOnTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  int produced = 0;
+  util::run_ordered(
+      16, 1,
+      [&](int i) {
+        EXPECT_EQ(std::this_thread::get_id(), caller) << "index " << i;
+        ++produced;
+        return i;
+      },
+      [&](int i, int value) { EXPECT_EQ(i, value); });
+  EXPECT_EQ(produced, 16);
 }
 
 }  // namespace
