@@ -1,5 +1,6 @@
-// Microbenchmarks (google-benchmark): raw simulator throughput, batch
-// set-up and activation, RNG, the feasibility checkers, tracker stepping,
+// Microbenchmarks (google-benchmark): raw simulator throughput, the typed
+// vs virtual-call slot pipeline at fdma_faults' shape, batch set-up and
+// activation, RNG, the feasibility checkers, tracker stepping,
 // estimation updates, per-job-slot NOCD, ALIGNED and PUNCTUAL steps, the
 // per-job-slot fault calls, and trimming.
 // These gate performance regressions; they reproduce no paper claim.
@@ -23,6 +24,7 @@
 #include "obs/trace.hpp"
 #include "sim/faults.hpp"
 #include "sim/simulator.hpp"
+#include "util/arena.hpp"
 #include "util/rng.hpp"
 #include "workload/feasibility.hpp"
 #include "workload/generators.hpp"
@@ -73,6 +75,90 @@ void BM_SimulatorAloha(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * (1 << 12));
 }
 BENCHMARK(BM_SimulatorAloha)->Arg(8)->Arg(64)->Arg(512);
+
+// Forwards every Protocol call to the protocol it wraps. A factory built
+// from lambdas carries no typed slot pipeline, so the engine runs the
+// virtual-call one (step_slot<Protocol>) for it (DESIGN.md §6e).
+class Forwarding final : public sim::Protocol {
+ public:
+  Forwarding(sim::Protocol* inner, bool arena_owned) noexcept
+      : inner_(inner), arena_owned_(arena_owned) {}
+  ~Forwarding() override {
+    if (arena_owned_) {
+      inner_->~Protocol();
+    } else {
+      delete inner_;
+    }
+  }
+  void on_activate(const sim::JobInfo& info) override {
+    inner_->set_tracer(obs_);
+    inner_->on_activate(info);
+  }
+  sim::SlotAction on_slot(const sim::SlotView& view) override {
+    return inner_->on_slot(view);
+  }
+  void on_feedback(const sim::SlotView& view,
+                   const sim::SlotFeedback& fb) override {
+    inner_->on_feedback(view, fb);
+  }
+  [[nodiscard]] bool done() const override { return inner_->done(); }
+  [[nodiscard]] sim::DormantSpan dormant_span(
+      const sim::SlotView& view) const override {
+    return inner_->dormant_span(view);
+  }
+
+ private:
+  sim::Protocol* inner_;
+  bool arena_owned_;
+};
+
+sim::ProtocolFactory forwarding(const sim::ProtocolFactory& inner) {
+  return sim::ProtocolFactory(
+      [inner](const sim::JobInfo& info,
+              util::Rng rng) -> std::unique_ptr<sim::Protocol> {
+        return std::make_unique<Forwarding>(inner(info, rng).release(),
+                                            false);
+      },
+      [inner](const sim::JobInfo& info, util::Rng rng,
+              util::MonotonicArena& arena) -> sim::Protocol* {
+        return arena.create<Forwarding>(inner.emplace(info, rng, arena),
+                                        true);
+      });
+}
+
+// One run of perfbench's fdma_faults shape per iteration: 1024 NOCD_ROBUST
+// jobs in a 1024-slot batch over 4 migrating channels with binary_ack,
+// feedback loss 0.01 and crashes at 0.0005 (stalls of 4-16 slots); items
+// are live job-slots. `typed` runs the registered factory, whose typed
+// pipeline inlines NOCD's per-slot calls; `decorated` runs the same
+// factory behind a forwarding decorator, i.e. the virtual-call pipeline.
+void BM_SimulatorFdmaSlot(benchmark::State& state, bool decorated) {
+  const sim::ProtocolFactory typed =
+      core::nocd::make_nocd_factory(core::Params{}, /*robust=*/true);
+  const sim::ProtocolFactory factory = decorated ? forwarding(typed) : typed;
+  sim::SimConfig config;
+  config.seed = 7;
+  config.feedback = sim::FeedbackModel::binary_ack();
+  config.faults.feedback_loss_rate = 0.01;
+  config.faults.crash_rate = 0.0005;
+  config.faults.stall_min = 4;
+  config.faults.stall_max = 16;
+  config.multichannel.channels = 4;
+  config.multichannel.migrate = true;
+  std::int64_t job_slots = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto instance = workload::gen_batch(1024, 1024);
+    state.ResumeTiming();
+    const auto result = sim::run(std::move(instance), factory, config);
+    job_slots += result.metrics.live_job_slots;
+  }
+  state.SetItemsProcessed(job_slots);
+}
+BENCHMARK_CAPTURE(BM_SimulatorFdmaSlot, typed, false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SimulatorFdmaSlot, decorated, true)
+    ->Unit(benchmark::kMillisecond);
 
 // Batch set-up as a whole: the Simulation ctor plus its first step(),
 // which activates every job of a gen_batch(n, 4n) UNIFORM burst with

@@ -2,11 +2,21 @@
 
 #include <algorithm>
 
+#include "sim/engine.hpp"
+
 namespace crmd::baselines {
 
 AlohaProtocol::AlohaProtocol(double p, util::Rng rng) : p_(p), rng_(rng) {}
 
-void AlohaProtocol::on_activate(const sim::JobInfo& info) { info_ = info; }
+AlohaProtocol::AlohaProtocol(PerWindow rate, util::Rng rng)
+    : window_scale_(rate.scale), rng_(rng) {}
+
+void AlohaProtocol::on_activate(const sim::JobInfo& info) {
+  info_ = info;
+  if (window_scale_ != 0.0) {
+    p_ = std::min(0.5, window_scale_ / static_cast<double>(info.window()));
+  }
+}
 
 sim::SlotAction AlohaProtocol::on_slot(const sim::SlotView& /*view*/) {
   sim::SlotAction action;
@@ -37,19 +47,8 @@ sim::ProtocolFactory make_aloha_factory(double p) {
 }
 
 sim::ProtocolFactory make_aloha_window_factory(double scale) {
-  // The transmit probability depends on the job's window, so the generic
-  // make_arena_factory shape does not fit; spell out both paths.
-  const auto p_for = [scale](const sim::JobInfo& info) {
-    return std::min(0.5, scale / static_cast<double>(info.window()));
-  };
-  return sim::ProtocolFactory(
-      [p_for](const sim::JobInfo& info, util::Rng rng) {
-        return std::make_unique<AlohaProtocol>(p_for(info), rng);
-      },
-      [p_for](const sim::JobInfo& info, util::Rng rng,
-              util::MonotonicArena& arena) -> sim::Protocol* {
-        return arena.create<AlohaProtocol>(p_for(info), rng);
-      });
+  return sim::make_arena_factory<AlohaProtocol>(
+      AlohaProtocol::PerWindow{scale});
 }
 
 }  // namespace crmd::baselines

@@ -14,7 +14,14 @@ namespace crmd::baselines {
 /// Per-job slotted-ALOHA with fixed transmission probability `p`.
 class AlohaProtocol final : public sim::Protocol {
  public:
+  /// The window-scaled rate: p = min(1/2, scale / window), set at
+  /// activation.
+  struct PerWindow {
+    double scale = 0.0;
+  };
+
   AlohaProtocol(double p, util::Rng rng);
+  AlohaProtocol(PerWindow rate, util::Rng rng);
 
   void on_activate(const sim::JobInfo& info) override;
   sim::SlotAction on_slot(const sim::SlotView& view) override;
@@ -23,7 +30,9 @@ class AlohaProtocol final : public sim::Protocol {
   [[nodiscard]] bool done() const override;
 
  private:
-  double p_;
+  double p_ = 0.0;
+  /// PerWindow::scale, or 0 when p_ is fixed.
+  double window_scale_ = 0.0;
   util::Rng rng_;
   sim::JobInfo info_;
   bool transmitted_ = false;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sim/engine.hpp"
+
 namespace crmd::baselines {
 
 BebProtocol::BebProtocol(const BebConfig& config, util::Rng rng)

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "sim/engine.hpp"
+
 namespace crmd::baselines {
 
 EnergyBebProtocol::EnergyBebProtocol(const core::Params& params,

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "sim/engine.hpp"
 #include "util/math.hpp"
 
 namespace crmd::baselines {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "core/params.hpp"
@@ -114,6 +115,99 @@ class NocdProtocol final : public sim::Protocol {
   bool transmitted_data_ = false;
   bool succeeded_ = false;
 };
+
+// The per-slot calls are defined here so the engine's typed pipeline
+// (make_arena_factory, DESIGN.md §6e) inlines them; the state changes they
+// trigger (set_exponent, end_epoch) stay out of line.
+
+inline double NocdProtocol::tx_prob(Slot remaining) const noexcept {
+  const double base = base_p_;
+  double p = base;
+  // Deadline-aware floor: bounded-ratio retry with aging, endgame only.
+  // While at least one full density sweep of laxity remains, the wrapping
+  // dry-epoch sweep already guarantees liveness (every exponent —
+  // including the aggressive ones — is revisited within (k_max+1) epochs),
+  // and a blanket λ/remaining floor this early would drown a saturated
+  // channel in collisions. Once the sweep can no longer complete before
+  // the deadline the floor takes over — but ratio-bounded: it may boost a
+  // job at most kFloorRatioCap above its estimate-driven probability, so a
+  // lone straggler ramps up toward its deadline while a jammed-blind crowd
+  // (everyone still believing contention is high, because it is) cannot
+  // stampede the endgame into wall-to-wall collisions.
+  if (robust_) {
+    // Cap on floor/base: λ² with the default λ=2 — large enough that an
+    // aging straggler quadruples its attempt rate, small enough that
+    // aggregate endgame contention stays within a constant factor of the
+    // swept estimate.
+    constexpr double kFloorRatioCap = 4.0;
+    const Slot sweep_len =
+        params_.nocd_epoch_len * static_cast<Slot>(k_max_ + 1);
+    if (remaining <= sweep_len) {
+      const double floor = std::min(params_.nocd_floor_tx_prob(remaining),
+                                    kFloorRatioCap * base);
+      p = std::max(p, floor);
+    }
+  }
+  return p;
+}
+
+inline sim::SlotAction NocdProtocol::on_slot(const sim::SlotView& view) {
+  sim::SlotAction action;
+  transmitted_data_ = false;
+  if (succeeded_) {
+    return action;  // defensive; the simulator retires done jobs
+  }
+  const Slot remaining = info_.window() - view.since_release;
+  const double p = tx_prob(remaining);
+  action.declared_prob = p;
+  // Exactly one RNG draw per slot regardless of feedback model or variant,
+  // so trajectories across models diverge only through decisions, never
+  // through stream desynchronization.
+  if (rng_.bernoulli(p)) {
+    action.transmit = true;
+    action.message = sim::make_data(info_.id);
+    transmitted_data_ = true;
+  }
+  // Honest sleep declaration (DESIGN.md §6k): under binary_ack listeners
+  // hear nothing by construction, so the epoch-clock tick in on_feedback is
+  // content-independent and the radio can stay off on non-transmit slots.
+  // Every other model feeds the success-only inference through listener
+  // feedback, so the job must stay awake to hear the drain.
+  action.sleep = ack_mode_ && !action.transmit;
+  return action;
+}
+
+inline void NocdProtocol::on_feedback(const sim::SlotView& view,
+                                      const sim::SlotFeedback& fb) {
+  const bool success = fb.outcome == sim::SlotOutcome::kSuccess;
+  // A lone success while we transmitted data is necessarily our own (the
+  // channel never fabricates successes, even under noisy degradation).
+  if (transmitted_data_ && success) {
+    succeeded_ = true;
+    return;
+  }
+  if (ack_mode_ && transmitted_data_) {
+    // binary_ack: the transmitter's feedback is the true outcome, so a
+    // non-success here is an explicit own-collision cue. Back off one step
+    // immediately — with listeners deaf, waiting out the epoch would learn
+    // nothing more. The collision also proves the channel has live
+    // contenders, so adversarial-silence evidence resets.
+    set_exponent(std::min(k_ + 1, k_max_), view.global_slot);
+    dry_streak_ = 0;
+    dry_sweeps_ = 0;
+    epoch_slot_ = 0;
+    epoch_successes_ = 0;
+    return;
+  }
+  if (success) {
+    ++epoch_successes_;
+  }
+  if (++epoch_slot_ >= params_.nocd_epoch_len) {
+    end_epoch(view.global_slot);
+  }
+}
+
+inline bool NocdProtocol::done() const { return succeeded_; }
 
 /// Factory adapter for the simulator. Validates `params` eagerly.
 [[nodiscard]] sim::ProtocolFactory make_nocd_factory(Params params,

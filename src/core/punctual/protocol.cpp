@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "obs/trace.hpp"
+#include "sim/engine.hpp"
 #include "util/math.hpp"
 
 namespace crmd::core::punctual {

@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "obs/trace.hpp"
+#include "sim/engine.hpp"
 
 namespace crmd::core {
 

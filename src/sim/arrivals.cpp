@@ -1,5 +1,6 @@
 #include "sim/arrivals.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <ostream>
@@ -58,6 +59,13 @@ MmppArrivals::MmppArrivals(double rate_lo, double rate_hi, Slot window,
       window > kMaxArrivalSlots || dwell > kMaxArrivalSlots) {
     throw std::invalid_argument(
         "MmppArrivals: rates must be > 0, window and dwell in [1, 2^62]");
+  }
+  // next() walks the state flips one dwell at a time, about
+  // 1 / (rate * dwell) of them per arrival at the faster state's rate.
+  if (std::max(rate_lo, rate_hi) * static_cast<double>(dwell) < 0x1p-32) {
+    throw std::invalid_argument(
+        "MmppArrivals: max(rate_lo, rate_hi) * dwell must be >= 2^-32 "
+        "(else each arrival takes more than about 2^32 state flips)");
   }
 }
 

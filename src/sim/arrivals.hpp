@@ -69,6 +69,9 @@ class PoissonArrivals final : public ArrivalProcess {
 /// emitting Poisson arrivals at the current state's rate. The bursty
 /// workload the stability literature stresses. Window and dwell are at
 /// most kMaxArrivalSlots, and the stream ends once the clock reaches it.
+/// The ctor throws std::invalid_argument when max(rate_lo, rate_hi) *
+/// dwell < 2^-32: next() steps through the state flips one at a time, and
+/// such rates need more than about 2^32 flips per arrival.
 class MmppArrivals final : public ArrivalProcess {
  public:
   MmppArrivals(double rate_lo, double rate_hi, Slot window, Slot dwell);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <type_traits>
@@ -153,6 +154,22 @@ class Protocol {
   obs::Tracer* obs_ = nullptr;
 };
 
+/// The engine state of one Simulation (sim/engine.hpp, internal).
+struct Engine;
+
+/// One slot of the engine's pipeline, compiled for one protocol class.
+using SlotPipeline = void (*)(Engine& engine, std::int64_t faults_before);
+
+/// The slot pipeline for runs whose protocols are all of class P (defined in
+/// sim/engine.hpp). P = Protocol is the virtual-call instantiation.
+template <typename P>
+void step_slot(Engine& engine, std::int64_t faults_before);
+
+class ProtocolFactory;
+
+template <typename P, typename... Bound>
+[[nodiscard]] ProtocolFactory make_arena_factory(Bound... bound);
+
 /// Creates the protocol instance for one job. `rng` is that job's private,
 /// deterministically derived random stream.
 ///
@@ -171,6 +188,11 @@ class Protocol {
 /// and baselines/) provide both paths; the simulator falls back to the
 /// heap path — and takes over ownership via `delete` — when a factory is
 /// heap-only.
+///
+/// A factory from make_arena_factory<P> also carries `pipeline()`, the
+/// engine's slot pipeline compiled for P. No other constructor sets it, so
+/// a factory built from lambdas — a test's, or a decorator wrapping a
+/// registered factory — runs the virtual-call pipeline (DESIGN.md §6e).
 class ProtocolFactory {
  public:
   using HeapFn =
@@ -216,17 +238,38 @@ class ProtocolFactory {
     return arena_(info, std::move(rng), arena);
   }
 
+  /// The slot pipeline compiled for the one class this factory builds, or
+  /// null when the engine must run step_slot<Protocol>.
+  [[nodiscard]] SlotPipeline pipeline() const noexcept { return pipeline_; }
+
  private:
+  template <typename P, typename... Bound>
+  friend ProtocolFactory make_arena_factory(Bound... bound);
+
+  ProtocolFactory(HeapFn heap, ArenaFn arena, SlotPipeline typed)
+      : heap_(std::move(heap)),
+        arena_(std::move(arena)),
+        pipeline_(typed) {}
+
   HeapFn heap_;
   ArenaFn arena_;
+  SlotPipeline pipeline_ = nullptr;
 };
 
-/// Builds an arena-aware factory for protocol type P constructed as
-/// `P(bound..., rng)` — the shape of every registered protocol. Factories
-/// whose constructor arguments depend on the JobInfo spell out the two
-/// lambdas instead (see make_aloha_window_factory).
+/// Builds an arena-aware factory for the final protocol class P constructed
+/// as `P(bound..., rng)` — the shape of every registered protocol (one
+/// whose parameters depend on the JobInfo sets them in on_activate, as
+/// ALOHA's window-scaled rate does). The factory carries step_slot<P>, the
+/// slot pipeline with P's calls bound directly; the engine picks it once
+/// per run, so P's per-slot methods inline into the decision and feedback
+/// loops where their definitions are visible. The call instantiates
+/// step_slot<P>, so the calling translation unit must include
+/// sim/engine.hpp (the link fails otherwise). Any other factory runs the
+/// virtual-call pipeline, step_slot<Protocol>.
 template <typename P, typename... Bound>
-[[nodiscard]] ProtocolFactory make_arena_factory(Bound... bound) {
+ProtocolFactory make_arena_factory(Bound... bound) {
+  static_assert(std::is_final_v<P>,
+                "the typed pipeline binds P's calls directly");
   return ProtocolFactory(
       [bound...](const JobInfo& /*info*/, util::Rng rng) {
         return std::make_unique<P>(bound..., std::move(rng));
@@ -234,7 +277,8 @@ template <typename P, typename... Bound>
       [bound...](const JobInfo& /*info*/, util::Rng rng,
                  util::MonotonicArena& arena) -> Protocol* {
         return arena.create<P>(bound..., std::move(rng));
-      });
+      },
+      &step_slot<P>);
 }
 
 }  // namespace crmd::sim

@@ -303,8 +303,7 @@ class Simulation {
   SimResult finish();
 
  private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  std::unique_ptr<Engine> impl_;  // sim/engine.hpp
 };
 
 /// Convenience: build, run to completion, return results.

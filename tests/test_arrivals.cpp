@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <initializer_list>
@@ -165,6 +166,21 @@ TEST(ArrivalLimits, WindowAndDwellAreCappedAt2To62) {
                std::invalid_argument);
   EXPECT_THROW(MmppArrivals(0.1, 0.2, 64, kMaxArrivalSlots + 1),
                std::invalid_argument);
+}
+
+// The state walk takes about 1 / (rate * dwell) flips per arrival, so a
+// rate that needs more than 2^32 of them is rejected up front instead of
+// spinning toward the 2^62 end of the clock.
+TEST(ArrivalLimits, MmppRejectsRatesThatNeedOver2To32FlipsPerArrival) {
+  EXPECT_THROW(MmppArrivals(1e-300, 1e-300, 64, 16384), std::invalid_argument);
+  EXPECT_THROW(MmppArrivals(1e-300, 1e-15, 64, 1024), std::invalid_argument);
+  const double edge = std::ldexp(1.0, -32);  // rate * dwell exactly 2^-32
+  EXPECT_NO_THROW(MmppArrivals(edge / 1024, edge / 1024, 64, 1024));
+  EXPECT_THROW(MmppArrivals(edge / 1024, edge / 1024, 64, 1023),
+               std::invalid_argument);
+  // Only the faster state's rate counts.
+  EXPECT_NO_THROW(MmppArrivals(1e-300, 0.01, 64, 16384));
+  EXPECT_NO_THROW(MmppArrivals(0.01, 1e-300, 64, 16384));
 }
 
 TEST(ArrivalLimits, StreamsEndOnceTheClockReaches2To62) {
