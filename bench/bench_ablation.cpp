@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   const util::Args args(argc, argv);
   const auto common = bench::parse_common(args, /*default_reps=*/15);
   auto trace = bench::make_trace_session(common);
+  const analysis::RunOptions options = bench::sweep_options(common, trace);
 
   // ---- (a) τ sweep on an ALIGNED batch -------------------------------------
   {
@@ -36,22 +37,25 @@ int main(int argc, char** argv) {
       const auto factory = core::aligned::make_aligned_factory(p);
       util::SuccessCounter delivered;
       util::RunningStats makespan;
-      for (int rep = 0; rep < common.reps; ++rep) {
-        sim::SimConfig config;
-        config.seed = common.seed * 101 + static_cast<std::uint64_t>(rep);
-        config.tracer = trace.get();
-        const auto result = sim::run(
-            workload::gen_batch(batch, Slot{1} << level, 0), factory,
-            config);
-        Slot last = 0;
-        for (const auto& job : result.jobs) {
-          delivered.add(job.success);
-          if (job.success) {
-            last = std::max(last, job.success_slot);
-          }
-        }
-        makespan.add(static_cast<double>(last));
-      }
+      obs::run_traced(
+          common.reps, common.threads, trace.get(),
+          [&](int rep, obs::Tracer* tracer) {
+            sim::SimConfig config;
+            config.seed = common.seed * 101 + static_cast<std::uint64_t>(rep);
+            config.tracer = tracer;
+            return sim::run(workload::gen_batch(batch, Slot{1} << level, 0),
+                            factory, config);
+          },
+          [&](int /*rep*/, sim::SimResult&& result) {
+            Slot last = 0;
+            for (const auto& job : result.jobs) {
+              delivered.add(job.success);
+              if (job.success) {
+                last = std::max(last, job.success_slot);
+              }
+            }
+            makespan.add(static_cast<double>(last));
+          });
       // Broadcast budget if the estimate lands at tau*2^ceil(log2 batch).
       const std::int64_t est = tau * 2 * batch;
       table.add_row({std::to_string(tau), util::fmt(delivered.rate(), 4),
@@ -83,17 +87,20 @@ int main(int argc, char** argv) {
       const auto factory = core::aligned::make_aligned_factory(p);
       util::SuccessCounter counter;
       const int reps = std::max(2, trials / static_cast<int>(batch));
-      for (int rep = 0; rep < reps; ++rep) {
-        sim::SimConfig config;
-        config.seed = common.seed * 3 + static_cast<std::uint64_t>(rep);
-        config.tracer = trace.get();
-        const auto result =
-            sim::run(workload::gen_batch(batch, Slot{1} << level, 0),
-                     factory, config, sim::make_reactive_jammer(0.7));
-        for (const auto& job : result.jobs) {
-          counter.add(job.success);
-        }
-      }
+      obs::run_traced(
+          reps, common.threads, trace.get(),
+          [&](int rep, obs::Tracer* tracer) {
+            sim::SimConfig config;
+            config.seed = common.seed * 3 + static_cast<std::uint64_t>(rep);
+            config.tracer = tracer;
+            return sim::run(workload::gen_batch(batch, Slot{1} << level, 0),
+                            factory, config, sim::make_reactive_jammer(0.7));
+          },
+          [&](int /*rep*/, sim::SimResult&& result) {
+            for (const auto& job : result.jobs) {
+              counter.add(job.success);
+            }
+          });
       table.add_row(
           {std::to_string(lambda),
            util::fmt_count(static_cast<std::int64_t>(counter.trials())),
@@ -128,7 +135,7 @@ int main(int argc, char** argv) {
       };
       const auto report = analysis::run_replications(
           gen, core::punctual::make_punctual_factory(p), common.reps,
-          common.seed, nullptr, {}, trace.get(), common.threads);
+          common.seed, options);
       double worst = 1.0;
       for (const auto& [w, bucket] : report.outcomes.by_window()) {
         worst = std::min(worst, bucket.deadline_met.rate());
@@ -168,7 +175,7 @@ int main(int argc, char** argv) {
       };
       const auto report = analysis::run_replications(
           gen, core::aligned::make_aligned_factory(p), common.reps,
-          common.seed, nullptr, {}, trace.get(), common.threads);
+          common.seed, options);
       double worst = 0.0;
       for (const auto& [w, bucket] : report.outcomes.by_window()) {
         worst = std::max(worst, bucket.deadline_met.failure_rate());

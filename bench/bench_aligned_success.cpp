@@ -27,21 +27,27 @@ using namespace crmd;
 util::SuccessCounter run_batches(const core::Params& params, int level,
                                  std::int64_t batch, int reps,
                                  std::uint64_t seed, double p_jam,
-                                 obs::Tracer* tracer) {
+                                 obs::Tracer* tracer, int threads) {
   const auto factory = core::aligned::make_aligned_factory(params);
   const Slot w = util::pow2(level);
   util::SuccessCounter counter;
-  for (int rep = 0; rep < reps; ++rep) {
-    sim::SimConfig config;
-    config.seed = seed * 7919 + static_cast<std::uint64_t>(rep * 131 + level);
-    config.tracer = tracer;
-    auto jammer = p_jam > 0.0 ? sim::make_reactive_jammer(p_jam) : nullptr;
-    const auto result = sim::run(workload::gen_batch(batch, w, 0), factory,
-                                 config, std::move(jammer));
-    for (const auto& job : result.jobs) {
-      counter.add(job.success);
-    }
-  }
+  obs::run_traced(
+      reps, threads, tracer,
+      [&](int rep, obs::Tracer* rep_tracer) {
+        sim::SimConfig config;
+        config.seed =
+            seed * 7919 + static_cast<std::uint64_t>(rep * 131 + level);
+        config.tracer = rep_tracer;
+        auto jammer =
+            p_jam > 0.0 ? sim::make_reactive_jammer(p_jam) : nullptr;
+        return sim::run(workload::gen_batch(batch, w, 0), factory, config,
+                        std::move(jammer));
+      },
+      [&](int /*rep*/, sim::SimResult&& result) {
+        for (const auto& job : result.jobs) {
+          counter.add(job.success);
+        }
+      });
   return counter;
 }
 
@@ -75,7 +81,7 @@ int main(int argc, char** argv) {
                                 std::max<std::int64_t>(batch, 1)));
         const auto counter =
             run_batches(params, level, batch, reps, common.seed, 0.0,
-                        trace.get());
+                        trace.get(), common.threads);
         const auto [lo, hi] = counter.wilson95();
         (void)hi;
         table.add_row(
@@ -114,7 +120,7 @@ int main(int argc, char** argv) {
         const int reps = std::max(2, trials / static_cast<int>(batch));
         const auto counter =
             run_batches(params, level, batch, reps, common.seed + 1, p_jam,
-                        trace.get());
+                        trace.get(), common.threads);
         const auto [lo, hi] = counter.wilson95();
         const double fail = counter.failure_rate();
         table.add_row(

@@ -52,48 +52,59 @@ int main(int argc, char** argv) {
 
   std::map<Slot, Bucket> buckets;
 
-  for (int rep = 0; rep < common.reps; ++rep) {
-    util::Rng rng(common.seed + static_cast<std::uint64_t>(rep));
-    workload::GeneralConfig config;
-    config.min_window = 1 << 11;
-    config.max_window = 1 << 13;
-    config.gamma = 1.0 / 32;
-    config.horizon = 1 << 15;
-    config.pow2_windows = true;  // clean window-size buckets
-    const auto instance = workload::gen_general(config, rng);
-    if (instance.empty()) {
-      continue;
-    }
-
-    sim::SimConfig sc;
-    sc.seed = common.seed * 17 + static_cast<std::uint64_t>(rep);
-    sc.tracer = trace.get();
-    sim::Simulation sim(instance, factory, sc);
+  // One rep: the run's result and the jobs that ever became anarchists
+  // (none when the instance was empty).
+  struct RepAnarchy {
+    sim::SimResult result;
     std::set<JobId> anarchists;
-    while (!sim.finished()) {
-      for (const JobId id : sim.live_jobs()) {
-        auto* proto = dynamic_cast<core::punctual::PunctualProtocol*>(
-            sim.protocol(id));
-        if (proto != nullptr && proto->was_anarchist()) {
-          anarchists.insert(id);
+  };
+  obs::run_traced(
+      common.reps, common.threads, trace.get(),
+      [&](int rep, obs::Tracer* tracer) {
+        RepAnarchy out;
+        util::Rng rng(common.seed + static_cast<std::uint64_t>(rep));
+        workload::GeneralConfig config;
+        config.min_window = 1 << 11;
+        config.max_window = 1 << 13;
+        config.gamma = 1.0 / 32;
+        config.horizon = 1 << 15;
+        config.pow2_windows = true;  // clean window-size buckets
+        const auto instance = workload::gen_general(config, rng);
+        if (instance.empty()) {
+          return out;
         }
-      }
-      if (!sim.step()) {
-        break;
-      }
-    }
-    const auto result = sim.finish();
-    for (const auto& job : result.jobs) {
-      Bucket& bucket = buckets[job.window()];
-      ++bucket.jobs;
-      if (anarchists.count(job.id) > 0) {
-        ++bucket.anarchists;
-        bucket.anarchist_delivery.add(job.success);
-      } else {
-        bucket.follower_delivery.add(job.success);
-      }
-    }
-  }
+
+        sim::SimConfig sc;
+        sc.seed = common.seed * 17 + static_cast<std::uint64_t>(rep);
+        sc.tracer = tracer;
+        sim::Simulation sim(instance, factory, sc);
+        while (!sim.finished()) {
+          for (const JobId id : sim.live_jobs()) {
+            auto* proto = dynamic_cast<core::punctual::PunctualProtocol*>(
+                sim.protocol(id));
+            if (proto != nullptr && proto->was_anarchist()) {
+              out.anarchists.insert(id);
+            }
+          }
+          if (!sim.step()) {
+            break;
+          }
+        }
+        out.result = sim.finish();
+        return out;
+      },
+      [&](int /*rep*/, RepAnarchy&& rep) {
+        for (const auto& job : rep.result.jobs) {
+          Bucket& bucket = buckets[job.window()];
+          ++bucket.jobs;
+          if (rep.anarchists.count(job.id) > 0) {
+            ++bucket.anarchists;
+            bucket.anarchist_delivery.add(job.success);
+          } else {
+            bucket.follower_delivery.add(job.success);
+          }
+        }
+      });
 
   util::Table table({"window", "jobs", "anarchists", "bound 4w/log^3 w",
                      "anarchist delivery", "non-anarchist delivery"});
@@ -137,22 +148,26 @@ int main(int argc, char** argv) {
     for (const std::int64_t followers : {4LL, 12LL, 24LL}) {
       util::SuccessCounter follower_ok;
       util::SuccessCounter leader_ok;
-      for (int rep = 0; rep < common.reps; ++rep) {
-        workload::Instance instance = workload::gen_batch(1, 1 << 15, 0);
-        instance = workload::merge(
-            instance, workload::gen_batch(followers, 1 << 14, 1024));
-        sim::SimConfig sc;
-        sc.seed = common.seed * 97 + static_cast<std::uint64_t>(rep);
-        sc.tracer = trace.get();
-        const auto result = sim::run(instance, factory, sc);
-        for (const auto& job : result.jobs) {
-          if (job.window() == (1 << 14)) {
-            follower_ok.add(job.success);
-          } else {
-            leader_ok.add(job.success);
-          }
-        }
-      }
+      obs::run_traced(
+          common.reps, common.threads, trace.get(),
+          [&](int rep, obs::Tracer* tracer) {
+            workload::Instance instance = workload::gen_batch(1, 1 << 15, 0);
+            instance = workload::merge(
+                instance, workload::gen_batch(followers, 1 << 14, 1024));
+            sim::SimConfig sc;
+            sc.seed = common.seed * 97 + static_cast<std::uint64_t>(rep);
+            sc.tracer = tracer;
+            return sim::run(instance, factory, sc);
+          },
+          [&](int /*rep*/, sim::SimResult&& result) {
+            for (const auto& job : result.jobs) {
+              if (job.window() == (1 << 14)) {
+                follower_ok.add(job.success);
+              } else {
+                leader_ok.add(job.success);
+              }
+            }
+          });
       table.add_row({util::fmt_count(followers), util::fmt_count(1 << 14),
                      util::fmt(follower_ok.rate(), 3),
                      util::fmt(leader_ok.rate(), 3)});

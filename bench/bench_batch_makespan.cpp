@@ -39,21 +39,25 @@ int main(int argc, char** argv) {
       const auto factory = core::make_protocol(name, params);
       util::RunningStats makespan;
       util::SuccessCounter delivered;
-      for (int rep = 0; rep < common.reps; ++rep) {
-        sim::SimConfig config;
-        config.seed = common.seed * 17 + static_cast<std::uint64_t>(rep);
-        config.tracer = trace.get();
-        const auto result = sim::run(
-            workload::gen_batch(n, util::pow2(level), 0), *factory, config);
-        Slot last = 0;
-        for (const auto& job : result.jobs) {
-          delivered.add(job.success);
-          if (job.success) {
-            last = std::max(last, job.success_slot + 1);
-          }
-        }
-        makespan.add(static_cast<double>(last));
-      }
+      obs::run_traced(
+          common.reps, common.threads, trace.get(),
+          [&](int rep, obs::Tracer* tracer) {
+            sim::SimConfig config;
+            config.seed = common.seed * 17 + static_cast<std::uint64_t>(rep);
+            config.tracer = tracer;
+            return sim::run(workload::gen_batch(n, util::pow2(level), 0),
+                            *factory, config);
+          },
+          [&](int /*rep*/, sim::SimResult&& result) {
+            Slot last = 0;
+            for (const auto& job : result.jobs) {
+              delivered.add(job.success);
+              if (job.success) {
+                last = std::max(last, job.success_slot + 1);
+              }
+            }
+            makespan.add(static_cast<double>(last));
+          });
       table.add_row({name, util::fmt_count(n),
                      util::fmt(makespan.mean(), 0),
                      util::fmt(makespan.mean() / static_cast<double>(n), 1),

@@ -7,9 +7,12 @@
 //
 // Common flags (every harness): --reps=N, --seed=S, --csv=path.csv,
 // --json=path.json, --quick (shrink the sweep for smoke runs),
-// --threads=N (replication workers; 0 = one per hardware thread, 1 =
-// serial; results are bit-identical for every value — the determinism
-// contract, see analysis/runner.hpp), --trace-events=path.json (Chrome
+// --threads=N (workers for the harness's simulations, run_replications
+// sweeps and per-rep loops alike; 0 = one per hardware thread, 1 = serial,
+// at most 1024; results and every exported artifact are bit-identical for
+// every value — the determinism contract, see obs/run_traced.hpp; the few
+// harnesses that time runs or step a single one stay serial, DESIGN.md
+// §6d), --trace-events=path.json (Chrome
 // trace-event export of every simulated run; open in chrome://tracing or
 // Perfetto), --timeline=path.json (slot-bucketed telemetry aggregated
 // over every simulated run — obs/timeline.hpp; bit-identical for every
@@ -46,6 +49,7 @@
 #include "analysis/runner.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
+#include "obs/run_traced.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "sim/arrivals.hpp"
@@ -70,8 +74,8 @@ struct CommonArgs {
   /// Metrics-registry snapshot JSON from --metrics=PATH; empty = off.
   std::string metrics;
   bool quick;
-  /// Replication workers as requested by --threads= (0 = hardware default);
-  /// pass to run_replications, which resolves and clamps it.
+  /// Workers as requested by --threads= (0 = hardware default); pass to
+  /// run_replications or obs::run_traced, which resolve and clamp it.
   int threads;
   /// Channel feedback semantics from --feedback=<model>[:param] (see
   /// channel.hpp; "ternary", "binary_ack", "collision_as_silence",
@@ -109,26 +113,18 @@ inline void require_written(bool written, const std::string& path) {
 }
 
 /// Parses the shared flags with harness-specific defaults. A malformed
-/// number, `--reps` below 1 or a negative `--threads` prints one `error:`
-/// line and exits 2.
+/// number, `--reps` outside [1, 2^31) or `--threads` outside
+/// [0, util::kMaxThreads] prints one `error:` line and exits 2.
 inline CommonArgs parse_common(const util::Args& args, int default_reps,
                                std::uint64_t default_seed = 1) {
   CommonArgs c;
   c.quick = args.get_bool("quick", false);
   try {
-    const std::int64_t reps = args.get_int("reps", default_reps);
-    if (reps < 1 || reps > std::numeric_limits<int>::max()) {
-      throw std::invalid_argument("--reps must be in [1, 2^31), got " +
-                                  std::to_string(reps));
-    }
-    c.reps = static_cast<int>(reps);
+    c.reps = static_cast<int>(args.get_int_in(
+        "reps", default_reps, 1, std::numeric_limits<int>::max()));
     c.seed = static_cast<std::uint64_t>(args.get_int("seed", default_seed));
-    const std::int64_t threads = args.get_int("threads", 0);
-    if (threads < 0 || threads > std::numeric_limits<int>::max()) {
-      throw std::invalid_argument("--threads must be in [0, 2^31), got " +
-                                  std::to_string(threads));
-    }
-    c.threads = static_cast<int>(threads);
+    c.threads = static_cast<int>(
+        args.get_int_in("threads", 0, 0, util::kMaxThreads));
   } catch (const std::invalid_argument& e) {
     std::cerr << "error: " << e.what() << "\n";
     std::exit(2);
@@ -301,6 +297,16 @@ inline TraceSession make_trace_session(const CommonArgs& common) {
     session.timeline_path = common.timeline;
   }
   return session;
+}
+
+/// Options for a run_replications sweep on the paper's channel: traced
+/// into `session`, on --threads workers.
+inline analysis::RunOptions sweep_options(const CommonArgs& common,
+                                          const TraceSession& session) {
+  analysis::RunOptions options;
+  options.tracer = session.get();
+  options.threads = common.threads;
+  return options;
 }
 
 /// Stamps run-profiler results into the table's JSON meta block:

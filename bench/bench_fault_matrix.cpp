@@ -128,22 +128,22 @@ int main(int argc, char** argv) {
     }
     const auto clean =
         analysis::run_replications(gen, *factory, common.reps, common.seed,
-                                   nullptr, {}, trace.get(), common.threads);
+                                   bench::sweep_options(common, trace));
     const Baseline base = snapshot(clean);
 
     for (const auto& axis : axes) {
       for (const double x : intensities) {
-        analysis::JammerGen jam_gen;  // null unless this axis is jamming
-        if (axis.jamming) {
+        analysis::RunOptions options = bench::sweep_options(common, trace);
+        options.faults = axis.plan(x);
+        if (axis.jamming) {  // no jammer otherwise
           const auto budget =
               static_cast<std::int64_t>(x * static_cast<double>(jam_window));
-          jam_gen = [budget, jam_window, p_jam](util::Rng) {
+          options.jammer_gen = [budget, jam_window, p_jam](util::Rng) {
             return sim::make_adaptive_jammer(budget, jam_window, p_jam);
           };
         }
         const auto report = analysis::run_replications(
-            gen, *factory, common.reps, common.seed, jam_gen, axis.plan(x),
-            trace.get(), common.threads);
+            gen, *factory, common.reps, common.seed, options);
 
         std::string verdict = "-";
         if (x == 0.0) {

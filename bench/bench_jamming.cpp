@@ -51,12 +51,10 @@ int main(int argc, char** argv) {
                      "jammed slots/rep", "in analyzed regime"});
   for (const auto& adv : adversaries) {
     for (const double p_jam : jams) {
-      const analysis::JammerGen jam_gen = [&](util::Rng) {
-        return adv.make(p_jam);
-      };
+      analysis::RunOptions options = bench::sweep_options(common, trace);
+      options.jammer_gen = [&](util::Rng) { return adv.make(p_jam); };
       const auto report = analysis::run_replications(
-          gen, factory, common.reps, common.seed, jam_gen, {},
-          trace.get(), common.threads);
+          gen, factory, common.reps, common.seed, options);
       const auto [lo, hi] = report.outcomes.overall().wilson95();
       (void)hi;
       table.add_row(

@@ -31,26 +31,30 @@ int main(int argc, char** argv) {
     const auto factory = core::make_protocol(name, params);
     std::vector<double> fracs;
     util::SuccessCounter delivered;
-    for (int rep = 0; rep < common.reps; ++rep) {
-      util::Rng rng(common.seed + static_cast<std::uint64_t>(rep));
-      workload::GeneralConfig config;
-      config.min_window = 1 << 10;
-      config.max_window = 1 << 13;
-      config.gamma = 1.0 / 32;
-      config.horizon = 1 << 15;
-      const auto instance = workload::gen_general(config, rng);
-      sim::SimConfig sc;
-      sc.seed = common.seed * 3 + static_cast<std::uint64_t>(rep);
-      sc.tracer = trace.get();
-      const auto result = sim::run(instance, *factory, sc);
-      for (const auto& job : result.jobs) {
-        delivered.add(job.success);
-        if (job.success) {
-          fracs.push_back(static_cast<double>(job.latency()) /
-                          static_cast<double>(job.window()));
-        }
-      }
-    }
+    obs::run_traced(
+        common.reps, common.threads, trace.get(),
+        [&](int rep, obs::Tracer* tracer) {
+          util::Rng rng(common.seed + static_cast<std::uint64_t>(rep));
+          workload::GeneralConfig config;
+          config.min_window = 1 << 10;
+          config.max_window = 1 << 13;
+          config.gamma = 1.0 / 32;
+          config.horizon = 1 << 15;
+          const auto instance = workload::gen_general(config, rng);
+          sim::SimConfig sc;
+          sc.seed = common.seed * 3 + static_cast<std::uint64_t>(rep);
+          sc.tracer = tracer;
+          return sim::run(instance, *factory, sc);
+        },
+        [&](int /*rep*/, sim::SimResult&& result) {
+          for (const auto& job : result.jobs) {
+            delivered.add(job.success);
+            if (job.success) {
+              fracs.push_back(static_cast<double>(job.latency()) /
+                              static_cast<double>(job.window()));
+            }
+          }
+        });
     table.add_row({name, util::fmt(delivered.rate(), 4),
                    util::fmt(util::percentile(fracs, 0.50), 3),
                    util::fmt(util::percentile(fracs, 0.90), 3),

@@ -42,31 +42,42 @@ int main(int argc, char** argv) {
       util::SuccessCounter elected;
       util::RunningStats first_claim_slot;
       util::SuccessCounter delivered;
-      for (int rep = 0; rep < common.reps; ++rep) {
-        sim::SimConfig config;
-        config.seed = common.seed * 104729 +
-                      static_cast<std::uint64_t>(rep * 13 + batch);
-        config.tracer = trace.get();
+      // One rep: the slot of the first successful leader claim, if any,
+      // and the run's result.
+      struct RepClaim {
         Slot first_claim = kNoSlot;
-        sim::Simulation sim(workload::gen_batch(batch, w, 0), factory,
-                            config);
-        sim.set_observer([&](const sim::SlotRecord& rec,
-                             std::span<const sim::Transmission>) {
-          if (first_claim == kNoSlot &&
-              rec.outcome == sim::SlotOutcome::kSuccess &&
-              rec.success_kind == sim::MessageKind::kLeaderClaim) {
-            first_claim = rec.slot;
-          }
-        });
-        const auto result = sim.finish();
-        elected.add(first_claim != kNoSlot);
-        if (first_claim != kNoSlot) {
-          first_claim_slot.add(static_cast<double>(first_claim));
-        }
-        delivered.add_many(
-            static_cast<std::uint64_t>(result.successes()),
-            static_cast<std::uint64_t>(result.jobs.size()));
-      }
+        sim::SimResult result;
+      };
+      obs::run_traced(
+          common.reps, common.threads, trace.get(),
+          [&](int rep, obs::Tracer* tracer) {
+            sim::SimConfig config;
+            config.seed = common.seed * 104729 +
+                          static_cast<std::uint64_t>(rep * 13 + batch);
+            config.tracer = tracer;
+            RepClaim out;
+            sim::Simulation sim(workload::gen_batch(batch, w, 0), factory,
+                                config);
+            sim.set_observer([&](const sim::SlotRecord& rec,
+                                 std::span<const sim::Transmission>) {
+              if (out.first_claim == kNoSlot &&
+                  rec.outcome == sim::SlotOutcome::kSuccess &&
+                  rec.success_kind == sim::MessageKind::kLeaderClaim) {
+                out.first_claim = rec.slot;
+              }
+            });
+            out.result = sim.finish();
+            return out;
+          },
+          [&](int /*rep*/, RepClaim&& rep) {
+            elected.add(rep.first_claim != kNoSlot);
+            if (rep.first_claim != kNoSlot) {
+              first_claim_slot.add(static_cast<double>(rep.first_claim));
+            }
+            delivered.add_many(
+                static_cast<std::uint64_t>(rep.result.successes()),
+                static_cast<std::uint64_t>(rep.result.jobs.size()));
+          });
       // Expected successful-claim count over the pullback: |S| · elections
       // · p · P[nobody else claims] — report the first-order |S|·L·p.
       core::Params probe;

@@ -38,6 +38,12 @@ int main(int argc, char** argv) {
   struct Row {
     util::SuccessCounter delivered;
     std::int64_t noise = 0;
+
+    void add(const sim::SimResult& result) {
+      delivered.add_many(static_cast<std::uint64_t>(result.successes()),
+                         static_cast<std::uint64_t>(result.jobs.size()));
+      noise += result.metrics.noise_slots;
+    }
   };
   Row aligned_cd;
   Row aligned_off;
@@ -52,25 +58,24 @@ int main(int argc, char** argv) {
     p.min_class = 10;
     const auto factory = core::aligned::make_aligned_factory(p);
     Row& row = cd ? aligned_cd : aligned_off;
-    for (int rep = 0; rep < common.reps; ++rep) {
-      util::Rng rng(common.seed + static_cast<std::uint64_t>(rep));
-      workload::AlignedConfig config;
-      config.min_class = 10;
-      config.max_class = 13;
-      config.gamma = 1.0 / 256;
-      config.horizon = 1 << 15;
-      const auto instance = workload::gen_aligned(config, rng);
-      sim::SimConfig sc;
-      sc.seed = common.seed * 7 + static_cast<std::uint64_t>(rep);
-      sc.feedback = cd ? sim::FeedbackModel::ternary()
-                       : sim::FeedbackModel::unaware_no_cd();
-      sc.tracer = trace.get();
-      const auto result = sim::run(instance, factory, sc);
-      row.delivered.add_many(
-          static_cast<std::uint64_t>(result.successes()),
-          static_cast<std::uint64_t>(result.jobs.size()));
-      row.noise += result.metrics.noise_slots;
-    }
+    obs::run_traced(
+        common.reps, common.threads, trace.get(),
+        [&](int rep, obs::Tracer* tracer) {
+          util::Rng rng(common.seed + static_cast<std::uint64_t>(rep));
+          workload::AlignedConfig config;
+          config.min_class = 10;
+          config.max_class = 13;
+          config.gamma = 1.0 / 256;
+          config.horizon = 1 << 15;
+          const auto instance = workload::gen_aligned(config, rng);
+          sim::SimConfig sc;
+          sc.seed = common.seed * 7 + static_cast<std::uint64_t>(rep);
+          sc.feedback = cd ? sim::FeedbackModel::ternary()
+                           : sim::FeedbackModel::unaware_no_cd();
+          sc.tracer = tracer;
+          return sim::run(instance, factory, sc);
+        },
+        [&](int /*rep*/, sim::SimResult&& result) { row.add(result); });
     table.add_row({"aligned", cd ? "on (paper)" : "off",
                    util::fmt(row.delivered.rate(), 4),
                    util::fmt(static_cast<double>(row.noise) / common.reps,
@@ -85,25 +90,24 @@ int main(int argc, char** argv) {
     p.min_class = 8;
     const auto factory = core::punctual::make_punctual_factory(p);
     Row& row = cd ? punctual_cd : punctual_off;
-    for (int rep = 0; rep < common.reps; ++rep) {
-      util::Rng rng(common.seed + 100 + static_cast<std::uint64_t>(rep));
-      workload::GeneralConfig config;
-      config.min_window = 1 << 11;
-      config.max_window = 1 << 13;
-      config.gamma = 1.0 / 64;
-      config.horizon = 1 << 15;
-      const auto instance = workload::gen_general(config, rng);
-      sim::SimConfig sc;
-      sc.seed = common.seed * 11 + static_cast<std::uint64_t>(rep);
-      sc.feedback = cd ? sim::FeedbackModel::ternary()
-                       : sim::FeedbackModel::unaware_no_cd();
-      sc.tracer = trace.get();
-      const auto result = sim::run(instance, factory, sc);
-      row.delivered.add_many(
-          static_cast<std::uint64_t>(result.successes()),
-          static_cast<std::uint64_t>(result.jobs.size()));
-      row.noise += result.metrics.noise_slots;
-    }
+    obs::run_traced(
+        common.reps, common.threads, trace.get(),
+        [&](int rep, obs::Tracer* tracer) {
+          util::Rng rng(common.seed + 100 + static_cast<std::uint64_t>(rep));
+          workload::GeneralConfig config;
+          config.min_window = 1 << 11;
+          config.max_window = 1 << 13;
+          config.gamma = 1.0 / 64;
+          config.horizon = 1 << 15;
+          const auto instance = workload::gen_general(config, rng);
+          sim::SimConfig sc;
+          sc.seed = common.seed * 11 + static_cast<std::uint64_t>(rep);
+          sc.feedback = cd ? sim::FeedbackModel::ternary()
+                           : sim::FeedbackModel::unaware_no_cd();
+          sc.tracer = tracer;
+          return sim::run(instance, factory, sc);
+        },
+        [&](int /*rep*/, sim::SimResult&& result) { row.add(result); });
     table.add_row({"punctual", cd ? "on (paper)" : "off",
                    util::fmt(row.delivered.rate(), 4),
                    util::fmt(static_cast<double>(row.noise) / common.reps,

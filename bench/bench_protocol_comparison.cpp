@@ -74,11 +74,10 @@ int main(int argc, char** argv) {
   util::Table table_a({"protocol", "delivered", "worst window-size",
                        "smallest-window delivery", "mean latency",
                        "mean tx/job (energy)"});
+  const analysis::RunOptions options = bench::sweep_options(common, trace);
   for (const auto& contender : contenders()) {
-    const auto report =
-        analysis::run_replications(gen, contender.factory, common.reps,
-                                   common.seed, nullptr, {}, trace.get(),
-                                   common.threads);
+    const auto report = analysis::run_replications(
+        gen, contender.factory, common.reps, common.seed, options);
     double worst = 1.0;
     double smallest_rate = 1.0;
     util::RunningStats latency;
@@ -97,12 +96,12 @@ int main(int argc, char** argv) {
                      util::fmt(latency.mean(), 0),
                      util::fmt(report.outcomes.accesses().mean(), 1)});
   }
-  // EDF ceiling (centralized; delivers everything on feasible instances).
+  // EDF ceiling (centralized; delivers everything on feasible instances),
+  // on the instances the sweeps above simulated.
   {
     util::SuccessCounter edf_counter;
-    const util::Rng master(common.seed);
     for (int rep = 0; rep < common.reps; ++rep) {
-      util::Rng rng = master.child(0x5245504CULL + static_cast<unsigned>(rep));
+      util::Rng rng = analysis::replication_rng(common.seed, rep);
       const auto instance = gen(rng);
       edf_counter.add_many(
           static_cast<std::uint64_t>(baselines::edf_successes(instance)),
@@ -129,18 +128,22 @@ int main(int argc, char** argv) {
     util::SuccessCounter first;
     util::SuccessCounter overall;
     const int reps = std::max(2, common.reps);
-    for (int rep = 0; rep < reps; ++rep) {
-      sim::SimConfig config;
-      config.seed = common.seed * 7 + static_cast<std::uint64_t>(rep);
-      config.tracer = trace.get();
-      const auto result = sim::run(instance, factory, config);
-      for (std::size_t i = 0; i < result.jobs.size(); ++i) {
-        overall.add(result.jobs[i].success);
-        if (static_cast<std::int64_t>(i) < cohort) {
-          first.add(result.jobs[i].success);
-        }
-      }
-    }
+    obs::run_traced(
+        reps, common.threads, trace.get(),
+        [&](int rep, obs::Tracer* tracer) {
+          sim::SimConfig config;
+          config.seed = common.seed * 7 + static_cast<std::uint64_t>(rep);
+          config.tracer = tracer;
+          return sim::run(instance, factory, config);
+        },
+        [&](int /*rep*/, sim::SimResult&& result) {
+          for (std::size_t i = 0; i < result.jobs.size(); ++i) {
+            overall.add(result.jobs[i].success);
+            if (static_cast<std::int64_t>(i) < cohort) {
+              first.add(result.jobs[i].success);
+            }
+          }
+        });
     table_b.add_row({name, util::fmt(first.rate(), 4),
                      util::fmt(overall.rate(), 4), std::to_string(reps)});
   };
@@ -183,8 +186,7 @@ int main(int argc, char** argv) {
                          "p99-style worst job latency/window"});
     for (const auto& contender : contenders()) {
       const auto report = analysis::run_replications(
-          periodic_gen, contender.factory, common.reps, common.seed, nullptr,
-          {}, trace.get(), common.threads);
+          periodic_gen, contender.factory, common.reps, common.seed, options);
       double worst = 1.0;
       double worst_latency_frac = 0.0;
       for (const auto& [w, bucket] : report.outcomes.by_window()) {

@@ -37,8 +37,8 @@ int main(int argc, char** argv) {
       return workload::gen_general(config, rng);
     };
     const auto report = analysis::run_replications(
-        gen, factory, common.reps, common.seed, nullptr, {}, trace.get(),
-        common.threads);
+        gen, factory, common.reps, common.seed,
+        bench::sweep_options(common, trace));
     for (const auto& [w, bucket] : report.outcomes.by_window()) {
       const auto [lo, hi] = bucket.deadline_met.wilson95();
       (void)hi;

@@ -40,31 +40,43 @@ int main(int argc, char** argv) {
       util::SuccessCounter delivered;
       std::vector<double> latency_fracs;
       util::RunningStats jobs_per_rep;
-      for (int rep = 0; rep < common.reps; ++rep) {
-        util::Rng rng(common.seed * 1009 +
-                      static_cast<std::uint64_t>(rep * 7 + rate * 1000));
-        const bench::WorkloadSpec load{
-            .kind = bench::WorkloadSpec::Kind::kPoisson,
-            .window = window,
-            .rate = rate,
-            .horizon = horizon};
-        const auto instance = bench::make_workload(load, &rng);
-        jobs_per_rep.add(static_cast<double>(instance.size()));
-        if (instance.empty()) {
-          continue;
-        }
-        sim::SimConfig sc;
-        sc.seed = rng.next_u64();
-        sc.tracer = trace.get();
-        const auto result = sim::run(instance, *factory, sc);
-        for (const auto& job : result.jobs) {
-          delivered.add(job.success);
-          if (job.success) {
-            latency_fracs.push_back(static_cast<double>(job.latency()) /
-                                    static_cast<double>(window));
-          }
-        }
-      }
+      // One rep: its job count and, unless it had no jobs, its result.
+      struct RepRun {
+        std::size_t jobs = 0;
+        sim::SimResult result;
+      };
+      obs::run_traced(
+          common.reps, common.threads, trace.get(),
+          [&](int rep, obs::Tracer* tracer) {
+            util::Rng rng(common.seed * 1009 +
+                          static_cast<std::uint64_t>(rep * 7 + rate * 1000));
+            const bench::WorkloadSpec load{
+                .kind = bench::WorkloadSpec::Kind::kPoisson,
+                .window = window,
+                .rate = rate,
+                .horizon = horizon};
+            const auto instance = bench::make_workload(load, &rng);
+            RepRun out;
+            out.jobs = instance.size();
+            if (instance.empty()) {
+              return out;
+            }
+            sim::SimConfig sc;
+            sc.seed = rng.next_u64();
+            sc.tracer = tracer;
+            out.result = sim::run(instance, *factory, sc);
+            return out;
+          },
+          [&](int /*rep*/, RepRun&& rep) {
+            jobs_per_rep.add(static_cast<double>(rep.jobs));
+            for (const auto& job : rep.result.jobs) {
+              delivered.add(job.success);
+              if (job.success) {
+                latency_fracs.push_back(static_cast<double>(job.latency()) /
+                                        static_cast<double>(window));
+              }
+            }
+          });
       table.add_row({name, util::fmt(rate, 2),
                      util::fmt(jobs_per_rep.mean(), 0),
                      util::fmt(delivered.rate(), 4),

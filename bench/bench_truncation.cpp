@@ -44,8 +44,8 @@ int main(int argc, char** argv) {
       return workload::gen_aligned(config, rng);
     };
     const auto report = analysis::run_replications(
-        gen, factory, common.reps, common.seed, nullptr, {}, trace.get(),
-        common.threads);
+        gen, factory, common.reps, common.seed,
+        bench::sweep_options(common, trace));
     double worst = 0.0;
     for (const auto& [w, bucket] : report.outcomes.by_window()) {
       worst = std::max(worst, bucket.deadline_met.failure_rate());

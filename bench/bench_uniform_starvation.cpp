@@ -43,26 +43,32 @@ int main(int argc, char** argv) {
     util::SuccessCounter overall;
     const int reps = (n >= 4096) ? std::max(1, common.reps / 4) : common.reps;
     const workload::Instance instance = workload::gen_starvation(n, gamma);
-    for (int rep = 0; rep < reps; ++rep) {
-      sim::SimConfig config;
-      config.seed = common.seed * 1000003 + static_cast<std::uint64_t>(rep);
-      config.tracer = trace.get();
-      const auto result = sim::run(instance, factory, config);
-      // Jobs are normalized by (release, deadline): index == j-1 of the
-      // construction, so index order is window order.
-      for (std::size_t i = 0; i < result.jobs.size(); ++i) {
-        const bool ok = result.jobs[i].success;
-        overall.add(ok);
-        if (static_cast<std::int64_t>(i) < cohort) {
-          first.add(ok);
-        } else if (static_cast<std::int64_t>(i) >=
-                   static_cast<std::int64_t>(result.jobs.size()) - cohort) {
-          last.add(ok);
-        } else {
-          middle.add(ok);
-        }
-      }
-    }
+    obs::run_traced(
+        reps, common.threads, trace.get(),
+        [&](int rep, obs::Tracer* tracer) {
+          sim::SimConfig config;
+          config.seed =
+              common.seed * 1000003 + static_cast<std::uint64_t>(rep);
+          config.tracer = tracer;
+          return sim::run(instance, factory, config);
+        },
+        [&](int /*rep*/, sim::SimResult&& result) {
+          // Jobs are normalized by (release, deadline): index == j-1 of the
+          // construction, so index order is window order.
+          for (std::size_t i = 0; i < result.jobs.size(); ++i) {
+            const bool ok = result.jobs[i].success;
+            overall.add(ok);
+            if (static_cast<std::int64_t>(i) < cohort) {
+              first.add(ok);
+            } else if (static_cast<std::int64_t>(i) >=
+                       static_cast<std::int64_t>(result.jobs.size()) -
+                           cohort) {
+              last.add(ok);
+            } else {
+              middle.add(ok);
+            }
+          }
+        });
     table.add_row({util::fmt_count(n), std::to_string(reps),
                    util::fmt(first.rate(), 4), util::fmt(middle.rate(), 4),
                    util::fmt(last.rate(), 4),

@@ -48,8 +48,8 @@ int main(int argc, char** argv) {
         return workload::gen_general(config, rng);
       };
       const auto report = analysis::run_replications(
-          gen, factory, common.reps, common.seed, nullptr, {}, trace.get(),
-          common.threads);
+          gen, factory, common.reps, common.seed,
+          bench::sweep_options(common, trace));
       const auto [lo, hi] = report.outcomes.overall().wilson95();
 
       // EDF reference on one sample instance (always 1.0 when feasible).

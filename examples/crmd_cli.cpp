@@ -12,6 +12,7 @@
 #include <cmath>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -86,8 +87,9 @@ int usage() {
          "                         | mmpp:RLO:RHI[:W[:DWELL]] | trace:PATH\n"
          "  --threads=N            replication workers (0 = one per "
          "hardware thread,\n"
-         "                         1 = serial; results are bit-identical "
-         "either way)\n"
+         "                         1 = serial, at most 1024; results are "
+         "bit-identical\n"
+         "                         either way)\n"
          "  --trace=PATH           save a per-slot CSV of one run\n"
          "  --jobs-csv=PATH        save per-job outcomes of one run\n"
          "  --faults-csv=PATH      save injected fault events of one run\n"
@@ -156,10 +158,11 @@ int run_cli(int argc, char** argv) {
   }
 
   core::Params params;
-  params.lambda = static_cast<int>(args.get_int("lambda", params.lambda));
+  params.lambda = static_cast<int>(args.get_int_in(
+      "lambda", params.lambda, 1, std::numeric_limits<int>::max()));
   params.tau = args.get_int("tau", params.tau);
   params.min_class =
-      static_cast<int>(args.get_int("min-class", params.min_class));
+      static_cast<int>(args.get_int_in("min-class", params.min_class, 1, 40));
   params.pullback_prob_scale =
       args.get_double("claim-scale", params.pullback_prob_scale);
   params.energy_spread_frac =
@@ -245,9 +248,11 @@ int run_cli(int argc, char** argv) {
     return usage();
   }
 
-  const int reps = static_cast<int>(args.get_int("reps", 3));
+  const int reps = static_cast<int>(
+      args.get_int_in("reps", 3, 1, std::numeric_limits<int>::max()));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  const int threads = static_cast<int>(args.get_int("threads", 0));
+  const int threads = static_cast<int>(
+      args.get_int_in("threads", 0, 0, util::kMaxThreads));
   const std::string feedback_spec = args.get("feedback", "ternary");
   const auto feedback = sim::parse_feedback_spec(feedback_spec, std::cerr);
   if (!feedback) {
@@ -286,10 +291,6 @@ int run_cli(int argc, char** argv) {
       throw std::invalid_argument("--n must be >= 1, got " +
                                   std::to_string(n));
     }
-    if (threads < 0) {
-      throw std::invalid_argument("--threads must be >= 0, got " +
-                                  std::to_string(threads));
-    }
     // A NaN fails this test too.
     if (!(std::isfinite(wd_config.contention_cap) &&
           wd_config.contention_cap >= 0.0)) {
@@ -300,10 +301,6 @@ int run_cli(int argc, char** argv) {
     if (wd_config.settle_slots < 0) {
       throw std::invalid_argument("--watchdog-settle must be >= 0, got " +
                                   std::to_string(wd_config.settle_slots));
-    }
-    if (reps < 1) {
-      throw std::invalid_argument("--reps must be >= 1, got " +
-                                  std::to_string(reps));
     }
     if (horizon < 1) {
       throw std::invalid_argument("--horizon must be >= 1, got " +

@@ -14,11 +14,11 @@
 /// aggregate outcomes. Keeps all bench binaries' seed management identical
 /// and reproducible.
 ///
-/// Replications run on the library's worker pool (util/pool.hpp) under a
-/// *determinism contract*: the returned ReplicationReport is bit-identical
-/// for every worker count. Replications are independent by construction —
-/// replication r derives every random stream from
-/// `Rng(base_seed).child(REPL + r)` — so workers may simulate them in any
+/// Replications run on the library's worker pool (obs/run_traced.hpp)
+/// under a *determinism contract*: the returned ReplicationReport is
+/// bit-identical for every worker count. Replications are independent by
+/// construction — replication r derives every random stream from
+/// replication_rng(base_seed, r) — so workers may simulate them in any
 /// order; determinism is restored by folding per-replication results into
 /// the report strictly in replication order. The contract is enforced by
 /// tests/test_runner_parallel.cpp, not by convention.
@@ -35,8 +35,7 @@ using InstanceGen = std::function<workload::Instance(util::Rng& rng)>;
 /// Same concurrency requirement as InstanceGen under `threads > 1`.
 using JammerGen = std::function<std::unique_ptr<sim::Jammer>(util::Rng rng)>;
 
-/// Per-sweep knobs shared by every replication. Collects what used to be
-/// trailing defaulted arguments of run_replications; harnesses that sweep
+/// Per-sweep knobs shared by every replication; harnesses that sweep
 /// channel conditions (feedback model × jamming × faults) fill one of
 /// these per cell.
 struct RunOptions {
@@ -75,34 +74,28 @@ struct ReplicationReport {
   util::RunningStats jobs_per_rep;
 };
 
+/// The stream replication `rep` of a sweep seeded `base_seed` derives
+/// everything from: the generator's Rng argument, then the simulation seed
+/// (its next_u64()) and the adversary's stream (a child of it). Exposed so
+/// a harness can rebuild the instances a sweep simulated (E13's EDF
+/// ceiling).
+[[nodiscard]] util::Rng replication_rng(std::uint64_t base_seed, int rep);
+
 /// Runs `reps` replications of (generate instance, simulate, aggregate).
-/// Replication r uses the deterministic seed child(base_seed, r) for both
-/// generation and simulation, so reports are exactly reproducible. The
-/// optional `faults` plan applies identically to every replication (default:
-/// none — a provable no-op, see faults.hpp). When `tracer` is non-null
-/// every simulated run streams obs events into it (null = tracing off =
-/// bit-identical results, see obs/trace.hpp). Phase timings ("generate",
+/// Replication r generates from replication_rng(base_seed, r) and seeds
+/// its simulation from the same stream, so reports are exactly
+/// reproducible; `options` sets the channel, faults, jammer, tracer and
+/// worker count shared by every replication (the defaults are the paper's
+/// channel, untraced, on the calling thread). Phase timings ("generate",
 /// "simulation", "aggregate") accrue to obs::global_profiler().
 ///
-/// `threads` selects the worker count of util::run_ordered: 1 (the default)
-/// runs every replication on the calling thread; N > 1 simulates them on N
-/// workers; <= 0 means util::resolve_threads' hardware default. Results
-/// fold in replication order, so the report is bit-identical for every
-/// value (the determinism contract). With a tracer, sinks observe the same
-/// stream — same events, same order, same seq numbers — for every value:
-/// one worker emits straight into `tracer`, several record each
-/// replication's events and replay them at fold time (obs::EventRecorder).
+/// The replications run on obs::run_traced with `options.threads` workers
+/// (<= 0 means util::resolve_threads' hardware default). Results fold in
+/// replication order, so the report is bit-identical for every value (the
+/// determinism contract), and a tracer's sinks observe the same stream —
+/// same events, same order, same seq numbers — for every value.
 [[nodiscard]] ReplicationReport run_replications(
     const InstanceGen& gen, const sim::ProtocolFactory& factory, int reps,
-    std::uint64_t base_seed, const JammerGen& jammer_gen = nullptr,
-    const sim::FaultPlan& faults = {}, obs::Tracer* tracer = nullptr,
-    int threads = 1);
-
-/// Options-struct form: identical semantics, plus the channel feedback
-/// model. The positional overload forwards here with default (ternary)
-/// feedback, so both produce bit-identical reports for the same knobs.
-[[nodiscard]] ReplicationReport run_replications(
-    const InstanceGen& gen, const sim::ProtocolFactory& factory, int reps,
-    std::uint64_t base_seed, const RunOptions& options);
+    std::uint64_t base_seed, const RunOptions& options = {});
 
 }  // namespace crmd::analysis

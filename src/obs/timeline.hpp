@@ -24,8 +24,8 @@
 /// allocation proportional to the horizon.
 ///
 /// Determinism: a Timeline only ever adds integers and sums doubles in
-/// the order events arrive. The tracer replays parallel replications in
-/// replication order (see analysis/runner.cpp), so the aggregate — and
+/// the order events arrive. Parallel runs reach the tracer in run order
+/// (see obs/run_traced.hpp), so the aggregate — and
 /// its serialized JSON — is bit-identical for every --threads value, and
 /// attaching a Timeline never perturbs simulation results (sinks only
 /// observe; see trace.hpp's cost model).

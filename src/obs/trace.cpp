@@ -167,31 +167,6 @@ void Tracer::close() {
   }
 }
 
-// ---- EventRecorder --------------------------------------------------------
-
-EventRecorder::EventRecorder(Tracer* target, int workers) : tracer_(target) {
-  if (target != nullptr && workers > 1) {
-    local_ = std::make_unique<Tracer>();
-    sink_ = std::make_shared<CollectSink>();
-    local_->add_sink(sink_);
-    tracer_ = local_.get();
-  }
-}
-
-std::vector<TraceEvent> EventRecorder::take() {
-  if (!local_) {
-    return {};
-  }
-  local_->close();
-  return sink_->take();
-}
-
-void replay(Tracer* tracer, const std::vector<TraceEvent>& events) {
-  for (const TraceEvent& ev : events) {
-    CRMD_TRACE(tracer, ev.kind, ev.slot, ev.job, ev.a, ev.b, ev.x, ev.label);
-  }
-}
-
 // ---- JSONL sinks ----------------------------------------------------------
 
 void JsonlSink::on_event(const TraceEvent& ev) {

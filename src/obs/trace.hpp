@@ -36,11 +36,9 @@
 /// (flush/close, and the inline drain when the ring fills) is serialized
 /// by a mutex, so sinks themselves never see concurrent on_event calls.
 /// With concurrent emitters the *interleaving* of events across threads
-/// is nondeterministic — so runs on the worker pool (util/pool.hpp) trace
-/// through an EventRecorder: with one worker they emit straight into the
-/// caller's tracer; with several, each run records privately and its events
-/// are replayed in run order, which keeps sink streams bit-identical for
-/// every worker count.
+/// is nondeterministic — so runs on the worker pool trace through
+/// obs::run_traced (run_traced.hpp), which keeps sink streams bit-identical
+/// for every worker count.
 
 namespace crmd::obs {
 
@@ -139,35 +137,6 @@ class CollectSink final : public EventSink {
   std::optional<EventKind> only_;
   std::vector<TraceEvent> events_;
 };
-
-/// The tracer one run of a pool of `workers` emits into, chosen so that the
-/// caller's tracer sees every run's events in run order. With one worker
-/// the runs go one after another on the calling thread, so a run emits
-/// straight into `target` and nothing is buffered. With more, each run
-/// records into a private tracer; take() hands its events back and the
-/// caller replay()s them into `target` when the run's turn comes. A null
-/// `target` means tracing is off: tracer() is null and take() empty.
-class EventRecorder {
- public:
-  EventRecorder(Tracer* target, int workers);
-
-  /// What the run passes as its SimConfig::tracer.
-  [[nodiscard]] Tracer* tracer() const noexcept { return tracer_; }
-
-  /// Closes the private tracer and moves its events out (empty when the
-  /// run emitted straight into the target).
-  [[nodiscard]] std::vector<TraceEvent> take();
-
- private:
-  std::unique_ptr<Tracer> local_;
-  std::shared_ptr<CollectSink> sink_;
-  Tracer* tracer_ = nullptr;
-};
-
-/// Re-emits recorded events into `tracer` in order; `tracer` stamps fresh
-/// seq numbers, so the stream matches one emitted there directly. No-op
-/// when `tracer` is null.
-void replay(Tracer* tracer, const std::vector<TraceEvent>& events);
 
 /// Writes one JSON object per event, newline-delimited (JSONL). The stream
 /// is borrowed and must outlive the sink.

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -113,6 +114,10 @@ struct Engine {
   /// released past the horizon; the stream summary stays empty; protocols
   /// live in the arena when the factory allows it.
   bool batch = false;
+  /// When the Simulation was built; finish() charges the time since to the
+  /// global profiler's "simulation" phase.
+  std::chrono::steady_clock::time_point built =
+      std::chrono::steady_clock::now();
 
   /// Capabilities stamped into every JobInfo (derived once from the model).
   ChannelCaps caps;

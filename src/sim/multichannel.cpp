@@ -4,9 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/profiler.hpp"
-#include "obs/trace.hpp"
-#include "util/pool.hpp"
+#include "obs/run_traced.hpp"
 
 namespace crmd::sim {
 namespace {
@@ -116,29 +114,22 @@ ShardedResult run_sharded(workload::Instance instance,
   }
 
   // Fold in shard order: bit-identical for every worker count.
-  obs::Tracer* tracer = config.tracer;
-  const int workers = util::pool_workers(k, threads);
   ShardedResult out;
   out.shards = k;
   out.total.jobs.resize(instance.jobs.size());
   out.per_shard.reserve(ks);
-  util::run_ordered(
-      k, threads,
-      [&](int shard) {
-        const auto s = static_cast<std::size_t>(shard);
-        obs::EventRecorder recorder(tracer, workers);
-        const SimConfig cfg =
-            shard_config(config, shard, horizon, recorder.tracer());
+  obs::run_traced(
+      k, threads, config.tracer,
+      [&](int shard, obs::Tracer* tracer) {
+        const SimConfig cfg = shard_config(config, shard, horizon, tracer);
         std::unique_ptr<Jammer> jammer;
         if (jammer_gen) {
           jammer = jammer_gen(util::Rng(cfg.seed).child(kJamStream));
         }
-        SimResult result =
-            run(std::move(parts[s]), factory, cfg, std::move(jammer));
-        return std::pair(std::move(result), recorder.take());
+        return run(std::move(parts[static_cast<std::size_t>(shard)]), factory,
+                   cfg, std::move(jammer));
       },
-      [&](int shard, auto&& outcome) {
-        auto& [result, events] = outcome;
+      [&](int shard, SimResult&& result) {
         const auto s = static_cast<std::size_t>(shard);
         for (JobResult& job : result.jobs) {
           const JobId original = orig[s][job.id];
@@ -147,7 +138,6 @@ ShardedResult run_sharded(workload::Instance instance,
         }
         out.total.metrics.merge(result.metrics);
         out.per_shard.push_back(result.metrics);
-        obs::replay(tracer, events);
       });
   obs::global_profiler().note_shards(k);
   return out;

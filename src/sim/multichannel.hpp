@@ -81,12 +81,12 @@ struct ShardedResult {
 /// one horizon (config.horizon, defaulting to the *full* instance's max
 /// deadline).
 ///
-/// The shards run on util::run_ordered with `threads` workers (<= 0 means
+/// The shards run on obs::run_traced with `threads` workers (<= 0 means
 /// one per hardware thread) and fold in shard order, so the result is
 /// bit-identical for every thread count (pinned in
 /// tests/test_multichannel.cpp). With a tracer, the sinks see every shard's
-/// events in shard order for every thread count (obs::EventRecorder); job
-/// ids inside the events are shard-local. Rejects multichannel.migrate
+/// events in shard order for every thread count; job ids inside the events
+/// are shard-local. Rejects multichannel.migrate
 /// (jobs cannot cross OS threads).
 [[nodiscard]] ShardedResult run_sharded(workload::Instance instance,
                                         const ProtocolFactory& factory,

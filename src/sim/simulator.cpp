@@ -1,6 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <ostream>
@@ -297,13 +298,16 @@ SimResult Simulation::finish() {
     result.metrics.crashes = inj.count(FaultKind::kCrash);
     result.metrics.restarts = inj.count(FaultKind::kRestart);
   }
-  // Feed the process-wide profiler so every harness (replication sweep or
-  // hand-rolled loop) gets slots/sec — and the mega-scale meta fields —
-  // for free.
-  obs::global_profiler().add_slots(result.metrics.slots_simulated);
-  obs::global_profiler().add_fast_forward_slots(
-      result.metrics.fast_forward_slots);
-  obs::global_profiler().note_live_peak(result.metrics.live_peak);
+  // Feed the process-wide profiler: every run, whoever drives it, charges
+  // "simulation" from construction to here and adds its slots.
+  obs::RunProfiler& prof = obs::global_profiler();
+  prof.add_phase_ms("simulation",
+                    std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - s.built)
+                        .count());
+  prof.add_slots(result.metrics.slots_simulated);
+  prof.add_fast_forward_slots(result.metrics.fast_forward_slots);
+  prof.note_live_peak(result.metrics.live_peak);
   return result;
 }
 

@@ -28,7 +28,7 @@
 ///    protocol at retire time, which also releases the protocol's own heap
 ///    members early).
 ///  - Not thread-safe; one arena belongs to one simulation, and simulations
-///    are confined to one worker thread each (see analysis/runner.cpp).
+///    are confined to one worker thread each (see obs/run_traced.hpp).
 
 namespace crmd::util {
 

@@ -75,6 +75,18 @@ std::int64_t Args::get_int(const std::string& key,
       });
 }
 
+std::int64_t Args::get_int_in(const std::string& key, std::int64_t fallback,
+                              std::int64_t lo, std::int64_t hi) const {
+  const std::int64_t value = get_int(key, fallback);
+  if (value < lo || value > hi) {
+    throw std::invalid_argument("--" + key + " must be in [" +
+                                std::to_string(lo) + ", " +
+                                std::to_string(hi) + "], got " +
+                                std::to_string(value));
+  }
+  return value;
+}
+
 double Args::get_double(const std::string& key, double fallback) const {
   const auto it = flags_.find(key);
   if (it == flags_.end() || it->second == kPresent) {

@@ -34,6 +34,13 @@ class Args {
   [[nodiscard]] std::int64_t get_int(const std::string& key,
                                      std::int64_t fallback) const;
 
+  /// get_int, checked before any narrowing: throws std::invalid_argument
+  /// ("--key must be in [lo, hi], got V") when the value lies outside
+  /// [lo, hi].
+  [[nodiscard]] std::int64_t get_int_in(const std::string& key,
+                                        std::int64_t fallback, std::int64_t lo,
+                                        std::int64_t hi) const;
+
   /// Double value of `key`, or `fallback` when absent.
   /// Throws std::invalid_argument naming the flag on malformed or
   /// out-of-range numbers.

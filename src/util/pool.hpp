@@ -12,14 +12,16 @@
 #include <vector>
 
 /// \file pool.hpp
-/// The library's one worker pool. Replication sweeps
-/// (analysis::run_replications) and sharded runs (sim::run_sharded) both
-/// run on it, and both promise a result that is bit-identical for every
+/// The library's one worker pool; every parallel simulation loop runs on
+/// it through obs::run_traced, with a result bit-identical for every
 /// worker count (DESIGN.md §6d). The pool keeps that promise in one place:
 /// tasks may be produced in any order on any worker, but their results are
 /// consumed strictly in index order, one at a time.
 
 namespace crmd::util {
+
+/// The largest `--threads=` request the command-line parsers accept.
+inline constexpr int kMaxThreads = 1024;
 
 /// Resolves a `--threads=` request: positive values pass through; zero and
 /// negative mean "one worker per hardware thread" (minimum 1 when the

@@ -159,8 +159,7 @@ TEST(DeterminismGolden, DigestsAreThreadCountInvariant) {
         run_replications(golden_gen(), factory, 3, kSeed));
     for (const int threads : {2, 8}) {
       EXPECT_EQ(report_digest(run_replications(golden_gen(), factory, 3,
-                                               kSeed, nullptr, {}, nullptr,
-                                               threads)),
+                                               kSeed, {.threads = threads})),
                 serial)
           << "threads=" << threads;
     }

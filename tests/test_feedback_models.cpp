@@ -177,6 +177,7 @@ TEST(TernaryBitIdentity, RunOptionsFormMatchesPositionalForm) {
   const analysis::InstanceGen gen = [](util::Rng&) {
     return workload::gen_batch(16, 256, 0);
   };
+  // The four-argument call takes the default RunOptions.
   const auto legacy = analysis::run_replications(gen, factory, 3, 11);
   analysis::RunOptions options;  // default ternary feedback
   const auto via_options =

@@ -88,7 +88,7 @@ TEST(Runner, JammerGeneratorIsWired) {
   const JammerGen jam = [](util::Rng) {
     return sim::make_blanket_jammer(1.0);
   };
-  const auto report = run_replications(gen, factory, 4, 7, jam);
+  const auto report = run_replications(gen, factory, 4, 7, {.jammer_gen = jam});
   // Blanket jamming with p=1 kills every transmission.
   EXPECT_EQ(report.outcomes.overall().successes(), 0u);
   EXPECT_GT(report.channel.jammed_slots, 0);

@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -105,13 +107,15 @@ void assert_contract(const InstanceGen& gen,
                      const sim::ProtocolFactory& factory, int reps,
                      std::uint64_t seed, const JammerGen& jammer_gen = nullptr,
                      const sim::FaultPlan& faults = {}) {
-  const auto serial = run_replications(gen, factory, reps, seed, jammer_gen,
-                                       faults, nullptr, 1);
+  const auto run = [&](int threads) {
+    return run_replications(
+        gen, factory, reps, seed,
+        {.jammer_gen = jammer_gen, .faults = faults, .threads = threads});
+  };
+  const auto serial = run(1);
   for (const int threads : kThreadCounts) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    const auto parallel = run_replications(gen, factory, reps, seed,
-                                           jammer_gen, faults, nullptr,
-                                           threads);
+    const auto parallel = run(threads);
     expect_reports_identical(serial, parallel);
   }
 }
@@ -232,11 +236,11 @@ TEST(RunnerParallel, ManyRepsStress) {
     return workload::gen_batch(4, 256, 0);
   };
   const auto serial = run_replications(
-      gen, baselines::make_aloha_window_factory(4.0), 200, 811, nullptr, {},
-      nullptr, 1);
+      gen, baselines::make_aloha_window_factory(4.0), 200, 811,
+      {.threads = 1});
   const auto parallel = run_replications(
-      gen, baselines::make_aloha_window_factory(4.0), 200, 811, nullptr, {},
-      nullptr, 8);
+      gen, baselines::make_aloha_window_factory(4.0), 200, 811,
+      {.threads = 8});
   expect_reports_identical(serial, parallel);
 }
 
@@ -261,9 +265,8 @@ TEST(RunnerParallel, TracedStreamsAreIdentical) {
     obs::Tracer tracer;
     auto sink = std::make_shared<obs::CollectSink>();
     tracer.add_sink(sink);
-    const auto report =
-        run_replications(gen, factory, 3, 1013, nullptr, {}, &tracer,
-                         threads);
+    const auto report = run_replications(
+        gen, factory, 3, 1013, {.tracer = &tracer, .threads = threads});
     tracer.close();
     EXPECT_EQ(report.replications, 3);
     return sink->events();
@@ -277,6 +280,41 @@ TEST(RunnerParallel, TracedStreamsAreIdentical) {
   }
 }
 
+TEST(RunnerParallel, GeneratorRngIsReplicationRng) {
+  // Replication r generates from replication_rng(seed, r) at every worker
+  // count; E13's EDF ceiling relies on it to rebuild the sweep's instances.
+  constexpr int kReps = 6;
+  constexpr std::uint64_t kSeed = 4242;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::mutex mu;
+    std::vector<int> seen;  // the rep whose stream each call got, in order
+    const InstanceGen gen = [&](util::Rng& rng) {
+      util::Rng probe = rng;
+      const std::uint64_t draw = probe.next_u64();
+      const std::lock_guard<std::mutex> lock(mu);
+      for (int rep = 0; rep < kReps; ++rep) {
+        util::Rng expected = replication_rng(kSeed, rep);
+        if (expected.seed() == rng.seed() && expected.next_u64() == draw) {
+          seen.push_back(rep);
+        }
+      }
+      return workload::gen_batch(2, 64, 0);
+    };
+    const auto report =
+        run_replications(gen, baselines::make_aloha_window_factory(4.0),
+                         kReps, kSeed, {.threads = threads});
+    EXPECT_EQ(report.replications, kReps);
+    ASSERT_EQ(seen.size(), static_cast<std::size_t>(kReps));
+    if (threads > 1) {
+      std::sort(seen.begin(), seen.end());
+    }
+    for (int rep = 0; rep < kReps; ++rep) {
+      EXPECT_EQ(seen[static_cast<std::size_t>(rep)], rep);
+    }
+  }
+}
+
 TEST(RunnerParallel, GeneratorExceptionsPropagate) {
   const InstanceGen gen = [](util::Rng&) -> workload::Instance {
     throw std::runtime_error("generator failure");
@@ -284,8 +322,8 @@ TEST(RunnerParallel, GeneratorExceptionsPropagate) {
   EXPECT_THROW(
       {
         const auto report = run_replications(
-            gen, baselines::make_aloha_window_factory(4.0), 8, 1, nullptr,
-            {}, nullptr, 4);
+            gen, baselines::make_aloha_window_factory(4.0), 8, 1,
+            {.threads = 4});
         (void)report;
       },
       std::runtime_error);
