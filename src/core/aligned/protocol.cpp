@@ -56,53 +56,42 @@ void AlignedProtocol::on_activate(const sim::JobInfo& info) {
   tracker_ = std::make_unique<Tracker>(params_, min_class, level_);
 }
 
-sim::SlotAction AlignedProtocol::on_slot(const sim::SlotView& view) {
+sim::SlotAction AlignedProtocol::degraded_slot(const sim::SlotView& view) {
   sim::SlotAction action;
-  transmitted_ = false;
-  if (degraded_) {
-    last_step_ = LastStep{};
-    if (stage_ != Stage::kRunning) {
-      return action;  // defensive; the simulator retires done jobs
-    }
-    // Deadline-aware blind schedule: the anarchist formula over the slots
-    // actually left, so a near-deadline job ramps up instead of silently
-    // starving (equals anarchist_tx_prob at full laxity).
-    const double p = params_.degraded_floor_tx_prob(
-        info_.window(), info_.window() - view.since_release);
-    action.declared_prob = p;
-    if (rng_.bernoulli(p)) {
-      action.transmit = true;
-      action.message = sim::make_data(info_.id);
-      transmitted_ = true;
-      transmitted_data_ = true;
-    }
-    return action;
-  }
-  tracker_->begin_slot(view.global_slot);
-  last_step_.valid = true;
-  last_step_.active_class = tracker_->active_class();
-  last_step_.estimating =
-      last_step_.active_class >= 0 &&
-      tracker_->view(last_step_.active_class).estimating;
-  if (obs_ != nullptr) {
-    if (last_step_.active_class != traced_active_class_) {
-      CRMD_TRACE(obs_, obs::EventKind::kClassActive, view.global_slot,
-                 info_.id, traced_active_class_, last_step_.active_class);
-      traced_active_class_ = last_step_.active_class;
-    }
-    if (!estimate_traced_ && tracker_->view(level_).estimate >= 0) {
-      CRMD_TRACE(obs_, obs::EventKind::kEstimate, view.global_slot, info_.id,
-                 level_, tracker_->view(level_).estimate);
-      estimate_traced_ = true;
-    }
-  }
+  last_step_ = LastStep{};
   if (stage_ != Stage::kRunning) {
     return action;  // defensive; the simulator retires done jobs
   }
-  if (tracker_->active_class() != level_) {
-    return action;  // a smaller class owns this slot: listen silently
+  // Deadline-aware blind schedule: the anarchist formula over the slots
+  // actually left, so a near-deadline job ramps up instead of silently
+  // starving (equals anarchist_tx_prob at full laxity).
+  const double p = params_.degraded_floor_tx_prob(
+      info_.window(), info_.window() - view.since_release);
+  action.declared_prob = p;
+  if (rng_.bernoulli(p)) {
+    action.transmit = true;
+    action.message = sim::make_data(info_.id);
+    transmitted_ = true;
+    transmitted_data_ = true;
   }
+  return action;
+}
 
+void AlignedProtocol::trace_step(Slot global_slot) {
+  if (last_step_.active_class != traced_active_class_) {
+    CRMD_TRACE(obs_, obs::EventKind::kClassActive, global_slot, info_.id,
+               traced_active_class_, last_step_.active_class);
+    traced_active_class_ = last_step_.active_class;
+  }
+  if (!estimate_traced_ && tracker_->view(level_).estimate >= 0) {
+    CRMD_TRACE(obs_, obs::EventKind::kEstimate, global_slot, info_.id,
+               level_, tracker_->view(level_).estimate);
+    estimate_traced_ = true;
+  }
+}
+
+sim::SlotAction AlignedProtocol::own_class_step(Slot global_slot) {
+  sim::SlotAction action;
   const Tracker::ClassView cls = tracker_->view(level_);
   if (cls.estimating) {
     const double p = cls.estimation->tx_probability();
@@ -127,7 +116,7 @@ sim::SlotAction AlignedProtocol::on_slot(const sim::SlotView& view) {
   }
   if (pos.subphase_id != traced_subphase_) {
     traced_subphase_ = pos.subphase_id;
-    CRMD_TRACE(obs_, obs::EventKind::kSubphase, view.global_slot, info_.id,
+    CRMD_TRACE(obs_, obs::EventKind::kSubphase, global_slot, info_.id,
                pos.subphase_id, pos.subphase_len);
   }
   action.declared_prob = 1.0 / static_cast<double>(pos.subphase_len);
@@ -139,31 +128,6 @@ sim::SlotAction AlignedProtocol::on_slot(const sim::SlotView& view) {
   }
   return action;
 }
-
-void AlignedProtocol::on_feedback(const sim::SlotView& view,
-                                  const sim::SlotFeedback& fb) {
-  // A successful *data* transmission completes the job (a lone success is
-  // necessarily the transmitter's own); control-probe successes merely feed
-  // the estimation counts below.
-  if (transmitted_ && transmitted_data_ &&
-      fb.outcome == sim::SlotOutcome::kSuccess) {
-    set_stage(Stage::kSucceeded, view.global_slot);
-  }
-  if (degraded_) {
-    // Blind mode keeps trying until the window ends: with no collision
-    // cues there is no schedule-completion signal to key truncation on,
-    // and giving up early would only forfeit remaining slots.
-    return;
-  }
-  tracker_->end_slot(fb.outcome);
-  if (stage_ == Stage::kRunning && tracker_->view(level_).complete) {
-    // §3 Truncation: the class's algorithm ended and this job did not get
-    // through — it gives up and yields to the larger classes.
-    set_stage(Stage::kGaveUp, view.global_slot);
-  }
-}
-
-bool AlignedProtocol::done() const { return stage_ != Stage::kRunning; }
 
 int AlignedProtocol::active_class() const noexcept {
   return tracker_ ? tracker_->active_class() : -1;

@@ -95,9 +95,31 @@ class PunctualProtocol final : public sim::Protocol {
   }
 
  private:
+  /// on_slot of the stages off the round grid: desperate and
+  /// sync-announce.
+  [[nodiscard]] sim::SlotAction act_unsynced(Slot t);
   [[nodiscard]] sim::SlotAction act_synced(Slot t);
+  /// act_synced of a leader in a timekeeper slot: its heartbeat or its
+  /// final data message, or a deposed leader's handoff.
+  [[nodiscard]] sim::SlotAction act_timekeeper(Slot t);
   [[nodiscard]] sim::SlotAction act_aligned_slot(Slot t);
+  /// A follower's ALIGNED step after an aligned slot in which
+  /// act_aligned_slot stepped its tracker.
+  void end_aligned_slot(Slot t, sim::SlotOutcome outcome);
+  /// on_feedback when this job transmitted and heard a success or silence.
+  /// Returns true when that settles the slot: its data or its leader
+  /// claim got through, or desync evidence moved it to kDesperate.
+  [[nodiscard]] bool settle_own_tx(Slot t, const sim::SlotFeedback& fb);
+  /// on_feedback in kSyncAnnounce: after its two markers the job is synced.
+  void finish_announce(Slot t);
   void handle_synced_feedback(Slot t, const sim::SlotFeedback& fb);
+  /// handle_synced_feedback in a timekeeper or leader-election slot:
+  /// leadership bookkeeping, then the synced stages' transitions.
+  void handle_leadership_slot(Slot t, SlotType type,
+                              const sim::SlotFeedback& fb);
+  /// Enters kFollowWait when a live leader's deadline is no earlier than
+  /// this job's; returns whether it did.
+  bool follow_later_leader(Slot t);
   void handle_sync_listen(Slot t, bool busy);
   void enter_probe(Slot t);
   void enter_slingshot(Slot t);
@@ -176,6 +198,167 @@ class PunctualProtocol final : public sim::Protocol {
   /// ternary trajectories (and their pinned digests) are untouched.
   bool no_cd_blind_ = false;
 };
+
+// The per-slot calls are defined here so the engine's typed pipeline
+// (make_arena_factory, DESIGN.md §6e) inlines them, with the synced slot
+// actions and the feedback outside the leadership slots. What most
+// job-slots skip stays out of line: the desperate schedule, sync-announce,
+// a leader's timekeeper slot, the feedback of timekeeper and
+// leader-election slots, a follower's own ALIGNED step, tracing and stage
+// changes.
+
+inline sim::SlotAction PunctualProtocol::on_slot(const sim::SlotView& view) {
+  transmitted_ = false;
+  aligned_stepped_ = false;
+  switch (stage_) {
+    case Stage::kSyncListen:
+      return {};  // pure listening
+    case Stage::kDesperate:
+    case Stage::kSyncAnnounce:
+      return act_unsynced(view.since_release);
+    case Stage::kSucceeded:
+    case Stage::kGaveUp:
+      return {};  // defensive; the simulator retires done jobs
+    default:
+      return act_synced(view.since_release);
+  }
+}
+
+inline sim::SlotAction PunctualProtocol::act_synced(Slot t) {
+  sim::SlotAction action;
+  switch (clock_.type(t)) {
+    case SlotType::kSync:
+      // Every synced job re-broadcasts the round marker (§4); the resulting
+      // collision is the point.
+      action.transmit = true;
+      action.message = sim::make_start(info_.id);
+      action.declared_prob = 1.0;
+      transmitted_ = true;
+      last_tx_kind_ = sim::MessageKind::kStart;
+      return action;
+
+    case SlotType::kGuard:
+      return action;
+
+    case SlotType::kTimekeeper:
+      if (stage_ == Stage::kLead || stage_ == Stage::kLeadHandoff) {
+        return act_timekeeper(t);
+      }
+      return action;
+
+    case SlotType::kAligned:
+      if (stage_ == Stage::kFollowRun) {
+        return act_aligned_slot(t);
+      }
+      return action;
+
+    case SlotType::kLeaderElection:
+      if (stage_ == Stage::kSlingshot) {
+        const double p = pullback_p_;
+        action.declared_prob = p;
+        if (rng_.bernoulli(p)) {
+          action.transmit = true;
+          action.message =
+              sim::make_leader_claim(info_.id, effective_deadline() - t);
+          transmitted_ = true;
+          last_tx_kind_ = sim::MessageKind::kLeaderClaim;
+        }
+      }
+      return action;
+
+    case SlotType::kAnarchy:
+      if (stage_ == Stage::kAnarchist) {
+        const double p = anarchist_p_;
+        action.declared_prob = p;
+        if (rng_.bernoulli(p)) {
+          action.transmit = true;
+          action.message = sim::make_data(info_.id);
+          transmitted_ = true;
+          last_tx_kind_ = sim::MessageKind::kData;
+        }
+      }
+      return action;
+  }
+  return action;
+}
+
+inline void PunctualProtocol::on_feedback(const sim::SlotView& view,
+                                          const sim::SlotFeedback& fb) {
+  const Slot t = view.since_release;
+  if (transmitted_ && fb.outcome != sim::SlotOutcome::kNoise &&
+      settle_own_tx(t, fb)) {
+    return;
+  }
+  switch (stage_) {
+    case Stage::kDesperate:
+    case Stage::kSucceeded:
+    case Stage::kGaveUp:
+      return;
+    case Stage::kSyncListen:
+      handle_sync_listen(t, fb.outcome != sim::SlotOutcome::kSilence);
+      return;
+    case Stage::kSyncAnnounce:
+      finish_announce(t);
+      return;
+    default:
+      handle_synced_feedback(t, fb);
+      return;
+  }
+}
+
+inline void PunctualProtocol::handle_synced_feedback(
+    Slot t, const sim::SlotFeedback& fb) {
+  const SlotType type = clock_.type(t);
+
+  // Desync evidence: a busy slot where we believe the frame keeps a guard.
+  // Under a correct, shared round grid guard slots stay silent, so noise
+  // here means our grid disagrees with the jobs actually transmitting
+  // (clock skew), or our feedback is corrupted. (Rare benign cause in
+  // fault-free mixed workloads: desperate tiny-window jobs transmit in
+  // every slot type — why the fallback is gated on desync_tolerance > 0.)
+  if (type == SlotType::kGuard && fb.outcome != sim::SlotOutcome::kSilence) {
+    note_desync_evidence(t);
+    if (desync_fallback_) {
+      return;
+    }
+  }
+  if (type == SlotType::kTimekeeper || type == SlotType::kLeaderElection) {
+    handle_leadership_slot(t, type, fb);
+    return;
+  }
+  // No other slot changes what a job knows of the leader, so only these
+  // stages act in one.
+  switch (stage_) {
+    case Stage::kSlingshot:
+    case Stage::kRecheck:
+      follow_later_leader(t);
+      return;
+    case Stage::kFollowWait:
+      try_build_core(t);
+      return;
+    case Stage::kFollowRun:
+      if (type == SlotType::kAligned && aligned_stepped_) {
+        end_aligned_slot(t, fb.outcome);
+      }
+      return;
+    default:
+      return;
+  }
+}
+
+inline bool PunctualProtocol::follow_later_leader(Slot t) {
+  // "If a leader emerges with a deadline after that of j, then job j can
+  // move directly to the aligned slots."
+  if (leader_alive_ && leader_deadline_ >= effective_deadline()) {
+    enter_follow_wait(t);
+    return true;
+  }
+  return false;
+}
+
+inline bool PunctualProtocol::done() const {
+  return stage_ == Stage::kSucceeded || stage_ == Stage::kGaveUp;
+}
 
 /// Human-readable stage name.
 [[nodiscard]] const char* to_string(PunctualProtocol::Stage stage) noexcept;

@@ -4,8 +4,8 @@
 // (DESIGN.md §6e). Not part of the library's interface. simulator.cpp
 // includes it, and so does every translation unit that calls
 // make_arena_factory<P>: that call instantiates step_slot<P>, the pipeline
-// with P's per-slot calls bound directly (and inlined where their
-// definitions are visible).
+// with P's per-slot calls bound directly (and inlined when P keeps them
+// small header bodies; tools/check_inlining.py checks that it does).
 
 #include <algorithm>
 #include <cassert>
@@ -664,117 +664,9 @@ struct Engine {
   // the channel is already noise, and jamming it would only waste budget.
   // Capture, the jammer and the noisy model are single-channel only
   // (validation), so their RNG streams are drawn in channel-0 order.
-  void resolve_channel(Channel& ch) {
-    ch.truth = resolve_slot(ch.tx);
-    ch.capture_winner = kNoJob;
-    ch.jammed = false;
-    SlotFeedback& fb = ch.truth;
-    if (ch.freeze > 0) {
-      --ch.freeze;
-      fb.outcome = SlotOutcome::kNoise;
-      fb.message.reset();
-      ++metrics.collision_cost_slots;
-      CRMD_TRACE(config.tracer, obs::EventKind::kCostSlot, now, kNoJob,
-                 ch.freeze, static_cast<std::int64_t>(ch.tx.size()), 0.0,
-                 "cost");
-    } else {
-      if (config.feedback.kind == FeedbackKind::kCapture &&
-          config.feedback.alpha > 0.0 && ch.tx.size() >= 2) {
-        // One winner survives a k-way collision with probability
-        // p_k = alpha^(k-1); the winner is drawn uniformly. Both draws come
-        // from the dedicated cap_rng stream, taken only on this path, so
-        // alpha = 0 leaves every other stream untouched.
-        const double p_win = std::pow(
-            config.feedback.alpha, static_cast<double>(ch.tx.size() - 1));
-        if (cap_rng.bernoulli(p_win)) {
-          const std::size_t idx = static_cast<std::size_t>(
-              cap_rng.below(static_cast<std::uint64_t>(ch.tx.size())));
-          fb.outcome = SlotOutcome::kSuccess;
-          fb.message = ch.tx[idx].message;
-          ch.capture_winner = ch.tx[idx].job;
-        }
-      }
-      if (jammer != nullptr) {
-        const Message* msg = fb.message ? &*fb.message : nullptr;
-        if (jammer->wants_jam(now, fb.outcome, msg) &&
-            jam_rng.bernoulli(jammer->p_jam())) {
-          fb.outcome = SlotOutcome::kNoise;
-          fb.message.reset();
-          ch.jammed = true;
-          ch.capture_winner = kNoJob;  // the jam stomped the captured success
-        }
-      }
-      // A perceived collision — genuine, capture-lost, or jam-created —
-      // freezes the channel for the next cost-1 slots. Frozen slots never
-      // re-arm, so a burst costs `cost` slots total, not a cascade.
-      if (config.collision_cost > 1 && fb.outcome == SlotOutcome::kNoise) {
-        ch.freeze = config.collision_cost - 1;
-      }
-    }
-    if (ch.capture_winner != kNoJob) {
-      ++metrics.capture_wins;
-      CRMD_TRACE(config.tracer, obs::EventKind::kCaptureWin, now,
-                 ch.capture_winner, static_cast<std::int64_t>(ch.tx.size()),
-                 0, config.feedback.alpha, "capture");
-    }
-
-    // The feedback model projects the true outcome into a common listener
-    // view and (when transmitters perceive something different) a
-    // transmitter view. O(1), no allocation.
-    ch.listener = fb;
-    ch.transmitter = fb;
-    ch.split = false;
-    switch (config.feedback.kind) {
-      case FeedbackKind::kTernary:
-        break;
-      case FeedbackKind::kBinaryAck:
-        // Listeners hear nothing, ever; transmitters get the true outcome
-        // (their own success, or noise when their transmission failed).
-        ch.listener.outcome = SlotOutcome::kSilence;
-        ch.listener.message.reset();
-        ch.split = !ch.tx.empty();
-        break;
-      case FeedbackKind::kCollisionAsSilence:
-        // Empty and collided slots are indistinguishable for everyone —
-        // including the transmitters, who get no failure ACK.
-        if (fb.outcome == SlotOutcome::kNoise) {
-          ch.listener.outcome = SlotOutcome::kSilence;
-          ch.listener.message.reset();
-          ch.transmitter = ch.listener;
-        }
-        break;
-      case FeedbackKind::kNoisy:
-        // One seeded flip draw per simulated slot; on a flip every observer
-        // hears the same one-step-degraded outcome.
-        if (config.feedback.eps > 0.0 &&
-            fb_rng.bernoulli(config.feedback.eps)) {
-          ch.listener = degrade_feedback(fb);
-          ch.transmitter = ch.listener;
-          ++metrics.feedback_flips;
-        }
-        break;
-      case FeedbackKind::kCapture:
-        // On a captured success, listeners (and the winner, excluded from
-        // the transmitted bitmap) hear the success; the k-1 losers perceive
-        // noise — their own signal drowned the broadcast out at their
-        // radio. Without a capture win the channel is exactly ternary.
-        if (ch.capture_winner != kNoJob) {
-          ch.transmitter.outcome = SlotOutcome::kNoise;
-          ch.transmitter.message.reset();
-          ch.split = true;
-        }
-        break;
-      case FeedbackKind::kUnawareNoCd:
-        // Listeners perceive noisy slots as silent; transmitters still
-        // learn their failure (ACK-style).
-        if (fb.outcome == SlotOutcome::kNoise) {
-          ch.listener.outcome = SlotOutcome::kSilence;
-          ch.listener.message.reset();
-          ch.split = true;
-        }
-        break;
-    }
-  }
+  // Defined once, in simulator.cpp: every pipeline calls it once per
+  // channel-slot, so inlining it would only copy it into each of them.
+  void resolve_channel(Channel& ch);
 
   // Shared by both ctors: validates and installs the run's configuration,
   // then pulls the first job and starts the clock at its release.
@@ -827,8 +719,9 @@ struct Engine {
 //
 // P is the class of every protocol the run holds: a final class when the
 // factory came from make_arena_factory<P>, whose calls then bind directly
-// and inline where P defines them in its header, or Protocol itself, whose
-// calls stay virtual (DESIGN.md §6e).
+// and inline where P keeps them small header bodies with its rare paths
+// out of line, or Protocol itself, whose calls stay virtual (DESIGN.md
+// §6e).
 template <typename P>
 void step_slot(Engine& s, std::int64_t faults_before) {
   static_assert(std::is_same_v<P, Protocol> || std::is_final_v<P>);

@@ -261,8 +261,10 @@ class ProtocolFactory {
 /// whose parameters depend on the JobInfo sets them in on_activate, as
 /// ALOHA's window-scaled rate does). The factory carries step_slot<P>, the
 /// slot pipeline with P's calls bound directly; the engine picks it once
-/// per run, so P's per-slot methods inline into the decision and feedback
-/// loops where their definitions are visible. The call instantiates
+/// per run, so P's per-slot methods can inline into the decision and
+/// feedback loops. A visible definition is not enough for that: each must
+/// be a small header body that keeps its rare paths out of line
+/// (DESIGN.md §6e). The call instantiates
 /// step_slot<P>, so the calling translation unit must include
 /// sim/engine.hpp (the link fails otherwise). Any other factory runs the
 /// virtual-call pipeline, step_slot<Protocol>.
