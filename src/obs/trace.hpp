@@ -166,20 +166,24 @@ class JsonlFileSink final : public EventSink {
 /// Emits Chrome trace-event JSON (the `chrome://tracing` / Perfetto
 /// format): stage transitions become per-job "X" (complete) spans,
 /// everything else instant events, and per-slot contention a counter
-/// track. Buffers formatted events in memory and writes the document at
-/// close() — meant for runs small enough to eyeball, like the CSV slot
-/// trace.
+/// track. With a path, each record is written to the file as it is
+/// formatted, and close() ends the document; only the open stage spans
+/// are held in memory. Without one (tests), the records are kept for
+/// render().
 class ChromeTraceSink final : public EventSink {
  public:
-  /// Writes to `path` at close(). Throws std::runtime_error when the file
-  /// cannot be created.
+  /// Streams to `path`, or keeps the records for render() when `path` is
+  /// empty. Throws std::runtime_error when the file cannot be created.
   explicit ChromeTraceSink(const std::string& path);
   ~ChromeTraceSink() override;
 
   void on_event(const TraceEvent& event) override;
+  /// Closes the spans still open and ends the file's document. A sink
+  /// destroyed without close() leaves the document unterminated.
   void close() override;
 
-  /// Renders the document to any stream (used by tests; close() uses it).
+  /// Renders a path-less sink's document to any stream: the same bytes a
+  /// sink with a path writes to its file over the same events.
   void render(std::ostream& out);
 
  private:

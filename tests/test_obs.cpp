@@ -6,8 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <memory>
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -162,7 +166,7 @@ TEST(JsonlSink, GoldenLineShape) {
 }
 
 TEST(ChromeTraceSink, RendersSpansCountersAndMetadata) {
-  obs::ChromeTraceSink sink("/tmp/crmd_test_chrome_trace.json");
+  obs::ChromeTraceSink sink("");  // path-less: keeps records for render()
   auto ev = [](obs::EventKind kind, Slot slot, JobId job, std::int64_t a,
                std::int64_t b, double x, const char* label) {
     obs::TraceEvent e;
@@ -195,6 +199,38 @@ TEST(ChromeTraceSink, RendersSpansCountersAndMetadata) {
   EXPECT_NE(doc.find("\"ph\":\"C\""), std::string::npos);
   // Process metadata for tooling.
   EXPECT_NE(doc.find("process_name"), std::string::npos);
+}
+
+// A sink with a path writes each record as it arrives; its file must hold
+// the bytes a path-less sink renders over the same events, dangling spans
+// (closed at close()) included.
+TEST(ChromeTraceSink, StreamedFileEqualsRender) {
+  const std::string path = testing::TempDir() + "crmd_chrome_stream.json";
+  const auto streamed = std::make_shared<obs::ChromeTraceSink>(path);
+  const auto kept = std::make_shared<obs::ChromeTraceSink>("");
+  obs::Tracer tracer(64);  // a small ring, so the tracer drains mid-run
+  tracer.add_sink(streamed);
+  tracer.add_sink(kept);
+  sim::SimConfig config;
+  config.seed = 3;
+  config.tracer = &tracer;
+  const auto result = sim::run(workload::gen_batch(8, 1 << 11),
+                               *core::make_protocol("punctual", {}), config);
+  ASSERT_FALSE(result.jobs.empty());
+  // A stage span that no retirement closes.
+  tracer.emit(obs::EventKind::kStage, 1 << 11, 99, 0, 1, 0.0, "probe");
+  tracer.close();
+
+  std::ostringstream want;
+  kept->render(want);
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good());
+  std::ostringstream got;
+  got << in.rdbuf();
+  EXPECT_GT(want.str().size(), 10000U);
+  EXPECT_NE(want.str().find("\"tid\":99}"), std::string::npos);
+  EXPECT_EQ(got.str(), want.str());
+  std::remove(path.c_str());
 }
 
 // ---- LogHistogram ---------------------------------------------------------
