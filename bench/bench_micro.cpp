@@ -1,8 +1,8 @@
 // Microbenchmarks (google-benchmark): raw simulator throughput, the typed
-// vs virtual-call slot pipeline at fdma_faults' shape, batch set-up and
-// activation, RNG, the feasibility checkers, tracker stepping,
-// estimation updates, per-job-slot NOCD, ALIGNED and PUNCTUAL steps, the
-// per-job-slot fault calls, and trimming.
+// vs virtual-call slot pipeline at fdma_faults' and paper_sweep's shapes,
+// batch set-up and activation, RNG, the feasibility checkers, tracker
+// stepping, estimation updates, per-job-slot NOCD, ALIGNED and PUNCTUAL
+// steps, the per-job-slot fault calls, and trimming.
 // These gate performance regressions; they reproduce no paper claim.
 
 #include <benchmark/benchmark.h>
@@ -23,6 +23,7 @@
 #include "core/uniform.hpp"
 #include "obs/trace.hpp"
 #include "sim/faults.hpp"
+#include "sim/jammer.hpp"
 #include "sim/simulator.hpp"
 #include "util/arena.hpp"
 #include "util/rng.hpp"
@@ -158,6 +159,51 @@ void BM_SimulatorFdmaSlot(benchmark::State& state, bool decorated) {
 BENCHMARK_CAPTURE(BM_SimulatorFdmaSlot, typed, false)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SimulatorFdmaSlot, decorated, true)
+    ->Unit(benchmark::kMillisecond);
+
+// One ALIGNED run on gen_aligned and one PUNCTUAL run on gen_general per
+// iteration, in perfbench's paper_sweep shape: gamma 1/32, fill 0.5,
+// horizon 65536, a reactive jammer at 0.25 and fast-forward on; items are
+// live job-slots. `typed` runs the registered factories, whose typed
+// pipelines inline the per-slot calls; `decorated` runs them behind a
+// forwarding decorator, i.e. the virtual-call pipeline.
+void BM_SimulatorPaperSlot(benchmark::State& state, bool decorated) {
+  const auto pick = [decorated](const sim::ProtocolFactory& typed) {
+    return decorated ? forwarding(typed) : typed;
+  };
+  const sim::ProtocolFactory aligned_factory =
+      pick(core::aligned::make_aligned_factory(core::Params{}));
+  const sim::ProtocolFactory punctual_factory =
+      pick(core::punctual::make_punctual_factory(core::Params{}));
+  workload::AlignedConfig aligned;
+  aligned.gamma = 1.0 / 32;
+  aligned.fill = 0.5;
+  aligned.horizon = 65536;
+  workload::GeneralConfig general;
+  general.gamma = 1.0 / 32;
+  general.fill = 0.5;
+  general.horizon = 65536;
+  sim::SimConfig config;
+  config.seed = 7;
+  config.fast_forward = sim::FastForward::kOn;
+  std::int64_t job_slots = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    util::Rng rng(7);
+    auto aligned_jobs = workload::gen_aligned(aligned, rng);
+    auto general_jobs = workload::gen_general(general, rng);
+    state.ResumeTiming();
+    const auto a = sim::run(std::move(aligned_jobs), aligned_factory, config,
+                            sim::make_reactive_jammer(0.25));
+    const auto p = sim::run(std::move(general_jobs), punctual_factory, config,
+                            sim::make_reactive_jammer(0.25));
+    job_slots += a.metrics.live_job_slots + p.metrics.live_job_slots;
+  }
+  state.SetItemsProcessed(job_slots);
+}
+BENCHMARK_CAPTURE(BM_SimulatorPaperSlot, typed, false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SimulatorPaperSlot, decorated, true)
     ->Unit(benchmark::kMillisecond);
 
 // Batch set-up as a whole: the Simulation ctor plus its first step(),
