@@ -254,11 +254,11 @@ void BM_TrackerStep(benchmark::State& state) {
   core::Params p;
   p.lambda = 2;
   p.tau = 8;
-  core::aligned::Tracker tracker(p, 8, 14);
+  core::aligned::Tracker tracker(8, 14);
   Slot t = 0;
   for (auto _ : state) {
-    tracker.begin_slot(t);
-    tracker.end_slot(sim::SlotOutcome::kSilence);
+    tracker.begin_slot(t, p);
+    tracker.end_slot(sim::SlotOutcome::kSilence, p);
     ++t;
   }
 }
@@ -278,11 +278,12 @@ void BM_EstimationRecord(benchmark::State& state) {
   }
   for (auto _ : state) {
     core::aligned::EstimationState est(p, 16);
+    std::vector<std::int64_t> counts(16);
     std::size_t next = 0;
     while (!est.complete()) {
-      est.record(outcomes[next++]);
+      est.record(outcomes[next++], counts);
     }
-    benchmark::DoNotOptimize(est.estimate());
+    benchmark::DoNotOptimize(est.estimate(counts, p.tau));
   }
   state.SetItemsProcessed(state.iterations() * p.estimation_steps(16));
 }
@@ -294,12 +295,12 @@ void BM_TrackerStepSpan(benchmark::State& state) {
   p.lambda = 2;
   p.tau = 8;
   const auto span = static_cast<int>(state.range(0));
-  core::aligned::Tracker tracker(p, 15 - span, 14);
+  core::aligned::Tracker tracker(15 - span, 14);
   Slot t = 0;
   for (auto _ : state) {
-    tracker.begin_slot(t);
+    tracker.begin_slot(t, p);
     benchmark::DoNotOptimize(tracker.active_class());
-    tracker.end_slot(sim::SlotOutcome::kSilence);
+    tracker.end_slot(sim::SlotOutcome::kSilence, p);
     ++t;
   }
 }
@@ -311,7 +312,7 @@ void BM_TrackerStepSkew(benchmark::State& state) {
   core::Params p;
   p.lambda = 2;
   p.tau = 8;
-  core::aligned::Tracker tracker(p, 8, 14);
+  core::aligned::Tracker tracker(8, 14);
   util::Rng rng(3);
   std::vector<Slot> gaps(1024);
   for (Slot& gap : gaps) {
@@ -320,9 +321,9 @@ void BM_TrackerStepSkew(benchmark::State& state) {
   Slot t = 0;
   std::size_t next = 0;
   for (auto _ : state) {
-    tracker.begin_slot(t);
+    tracker.begin_slot(t, p);
     benchmark::DoNotOptimize(tracker.active_class());
-    tracker.end_slot(sim::SlotOutcome::kSilence);
+    tracker.end_slot(sim::SlotOutcome::kSilence, p);
     t += gaps[next];
     next = (next + 1) & (gaps.size() - 1);  // the size is a power of two
   }

@@ -27,6 +27,10 @@ namespace crmd::core::aligned {
 /// Immutable description of one class's broadcast-stage layout.
 class BroadcastSchedule {
  public:
+  /// An empty stage (no steps); the tracker's classes hold one until their
+  /// estimate is known.
+  BroadcastSchedule() = default;
+
   /// Layout for class `level` with estimate `estimate` (0, or a power of
   /// two; estimates produced by EstimationState are τ·2^j).
   BroadcastSchedule(const Params& params, int level, std::int64_t estimate);
@@ -80,7 +84,7 @@ class BroadcastSchedule {
   }
 
  private:
-  int lambda_;
+  int lambda_ = 0;
   std::vector<std::int64_t> lens_;    // subphase length per phase
   std::vector<std::int64_t> starts_;  // first step index of each phase
   std::int64_t total_ = 0;

@@ -7,20 +7,18 @@
 namespace crmd::core::aligned {
 
 EstimationState::EstimationState(const Params& params, int level)
-    : level_(level),
-      phase_len_(params.estimation_phase_len(level)),
-      tau_(params.tau),
-      successes_(static_cast<std::size_t>(level), 0) {
+    : level_(level), phase_len_(params.estimation_phase_len(level)) {
   assert(level >= 1);
 }
 
-std::int64_t EstimationState::estimate() const {
+std::int64_t EstimationState::estimate(std::span<const std::int64_t> successes,
+                                       std::int64_t tau) const {
   assert(complete());
+  assert(successes.size() == static_cast<std::size_t>(level_));
   std::int64_t best_count = 0;
   int best_phase = 0;  // 0 = no phase saw any success
   for (int phase = 1; phase <= level_; ++phase) {
-    const std::int64_t count =
-        successes_[static_cast<std::size_t>(phase - 1)];
+    const std::int64_t count = successes[static_cast<std::size_t>(phase - 1)];
     // Strict '>' makes the tie-break "smallest phase with the maximum",
     // a fixed rule every replica applies identically.
     if (count > best_count) {
@@ -28,12 +26,7 @@ std::int64_t EstimationState::estimate() const {
       best_phase = phase;
     }
   }
-  return best_phase == 0 ? 0 : tau_ * util::pow2(best_phase);
-}
-
-std::int64_t EstimationState::phase_successes(int phase) const {
-  assert(phase >= 1 && phase <= level_);
-  return successes_[static_cast<std::size_t>(phase - 1)];
+  return best_phase == 0 ? 0 : tau * util::pow2(best_phase);
 }
 
 }  // namespace crmd::core::aligned

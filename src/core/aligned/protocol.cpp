@@ -22,7 +22,7 @@ const char* to_string(AlignedProtocol::Stage stage) noexcept {
 }
 
 AlignedProtocol::AlignedProtocol(const Params& params, util::Rng rng)
-    : params_(params), rng_(rng) {}
+    : rng_(rng), params_(params) {}
 
 void AlignedProtocol::set_stage(Stage next, Slot global_slot) {
   CRMD_TRACE(obs_, obs::EventKind::kStage, global_slot, info_.id,
@@ -53,7 +53,7 @@ void AlignedProtocol::on_activate(const sim::JobInfo& info) {
   // and acts whenever that class is incomplete — nested classes collide.
   const int min_class =
       params_.pecking_order ? std::min(params_.min_class, level_) : level_;
-  tracker_ = std::make_unique<Tracker>(params_, min_class, level_);
+  tracker_.emplace(min_class, level_);
 }
 
 sim::SlotAction AlignedProtocol::degraded_slot(const sim::SlotView& view) {

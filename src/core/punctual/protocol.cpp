@@ -125,7 +125,7 @@ sim::SlotAction PunctualProtocol::act_aligned_slot(Slot t) {
     truncate_follow(t);
     return action;
   }
-  tracker_->begin_slot(g);
+  tracker_->begin_slot(g, params_);
   aligned_stepped_ = true;
   if (tracker_->active_class() != follow_level_) {
     return action;  // a smaller class owns this aligned slot
@@ -161,7 +161,7 @@ sim::SlotAction PunctualProtocol::act_aligned_slot(Slot t) {
 }
 
 void PunctualProtocol::end_aligned_slot(Slot t, sim::SlotOutcome outcome) {
-  tracker_->end_slot(outcome);
+  tracker_->end_slot(outcome, params_);
   if (tracker_->complete(follow_level_)) {
     truncate_follow(t);
   }
@@ -380,8 +380,7 @@ void PunctualProtocol::try_build_core(Slot t) {
   core_ = core;
   follow_level_ = core.level;
   const int min_class = std::min(params_.min_class, follow_level_);
-  tracker_ =
-      std::make_unique<aligned::Tracker>(params_, min_class, follow_level_);
+  tracker_ = std::make_unique<aligned::Tracker>(min_class, follow_level_);
   current_subphase_ = -1;
   chosen_offset_ = -1;
   set_stage(Stage::kFollowRun, t);

@@ -177,6 +177,8 @@ class PunctualProtocol final : public sim::Protocol {
 
   // Follower state.
   std::optional<workload::AlignedWindow> core_;  // in leader rounds
+  // Behind a pointer, unlike ALIGNED's: only followers build one, and held
+  // in place it would grow every PUNCTUAL job.
   std::unique_ptr<aligned::Tracker> tracker_;
   int follow_level_ = 0;
   bool aligned_stepped_ = false;

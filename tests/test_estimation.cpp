@@ -24,6 +24,7 @@ TEST(Estimation, PhaseBookkeeping) {
   const Params p = test_params();
   const int level = 4;
   EstimationState est(p, level);
+  std::vector<std::int64_t> counts(static_cast<std::size_t>(level));
   EXPECT_FALSE(est.complete());
   EXPECT_EQ(est.steps_taken(), 0);
   EXPECT_EQ(est.current_phase(), 1);
@@ -36,7 +37,7 @@ TEST(Estimation, PhaseBookkeeping) {
     EXPECT_EQ(est.current_phase(), expected_phase);
     EXPECT_DOUBLE_EQ(est.tx_probability(),
                      std::ldexp(1.0, -expected_phase));
-    est.record(sim::SlotOutcome::kSilence);
+    est.record(sim::SlotOutcome::kSilence, counts);
   }
   EXPECT_TRUE(est.complete());
 }
@@ -44,55 +45,59 @@ TEST(Estimation, PhaseBookkeeping) {
 TEST(Estimation, AllSilentResolvesToZero) {
   const Params p = test_params();
   EstimationState est(p, 3);
+  std::vector<std::int64_t> counts(3);
   for (int i = 0; i < p.lambda * 9; ++i) {
-    est.record(sim::SlotOutcome::kSilence);
+    est.record(sim::SlotOutcome::kSilence, counts);
   }
   EXPECT_TRUE(est.complete());
-  EXPECT_EQ(est.estimate(), 0);
+  EXPECT_EQ(est.estimate(counts, p.tau), 0);
 }
 
 TEST(Estimation, EstimateIsTauTimesBestPhase) {
   const Params p = test_params();
   const int level = 5;
   EstimationState est(p, level);
+  std::vector<std::int64_t> counts(static_cast<std::size_t>(level));
   // Craft successes: phase 3 gets the most.
   const std::int64_t phase_len = p.estimation_phase_len(level);
   for (int phase = 1; phase <= level; ++phase) {
     for (std::int64_t s = 0; s < phase_len; ++s) {
       const bool success = (phase == 3 && s < 5) || (phase == 2 && s < 2);
       est.record(success ? sim::SlotOutcome::kSuccess
-                         : sim::SlotOutcome::kNoise);
+                         : sim::SlotOutcome::kNoise, counts);
     }
   }
   EXPECT_TRUE(est.complete());
-  EXPECT_EQ(est.phase_successes(3), 5);
-  EXPECT_EQ(est.phase_successes(2), 2);
-  EXPECT_EQ(est.estimate(), p.tau * util::pow2(3));
+  EXPECT_EQ(counts[2], 5);
+  EXPECT_EQ(counts[1], 2);
+  EXPECT_EQ(est.estimate(counts, p.tau), p.tau * util::pow2(3));
 }
 
 TEST(Estimation, TieBreaksToSmallestPhase) {
   const Params p = test_params();
   const int level = 4;
   EstimationState est(p, level);
+  std::vector<std::int64_t> counts(static_cast<std::size_t>(level));
   const std::int64_t phase_len = p.estimation_phase_len(level);
   for (int phase = 1; phase <= level; ++phase) {
     for (std::int64_t s = 0; s < phase_len; ++s) {
       // Phases 2 and 4 tie with 3 successes each.
       const bool success = (phase == 2 || phase == 4) && s < 3;
       est.record(success ? sim::SlotOutcome::kSuccess
-                         : sim::SlotOutcome::kSilence);
+                         : sim::SlotOutcome::kSilence, counts);
     }
   }
-  EXPECT_EQ(est.estimate(), p.tau * util::pow2(2));
+  EXPECT_EQ(est.estimate(counts, p.tau), p.tau * util::pow2(2));
 }
 
 TEST(Estimation, NoiseDoesNotCount) {
   const Params p = test_params();
   EstimationState est(p, 3);
+  std::vector<std::int64_t> counts(3);
   for (int i = 0; i < p.lambda * 9; ++i) {
-    est.record(sim::SlotOutcome::kNoise);
+    est.record(sim::SlotOutcome::kNoise, counts);
   }
-  EXPECT_EQ(est.estimate(), 0);
+  EXPECT_EQ(est.estimate(counts, p.tau), 0);
 }
 
 // Monte-Carlo: simulate a batch of n̂ jobs running the estimation protocol
@@ -108,6 +113,7 @@ std::int64_t simulate_estimate(const Params& p, int level,
                                std::int64_t n_hat, double p_jam,
                                util::Rng& rng) {
   EstimationState est(p, level);
+  std::vector<std::int64_t> counts(static_cast<std::size_t>(level));
   while (!est.complete()) {
     const double tx_p = est.tx_probability();
     int transmitters = 0;
@@ -124,9 +130,9 @@ std::int64_t simulate_estimate(const Params& p, int level,
     if (outcome == sim::SlotOutcome::kSuccess && rng.bernoulli(p_jam)) {
       outcome = sim::SlotOutcome::kNoise;
     }
-    est.record(outcome);
+    est.record(outcome, counts);
   }
-  return est.estimate();
+  return est.estimate(counts, p.tau);
 }
 
 TEST_P(EstimationAccuracy, EstimateWithinLemma8Bracket) {

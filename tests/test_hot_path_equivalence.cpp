@@ -172,7 +172,7 @@ TEST(HotPathEquivalence, TrackerMatchesDivisionReference) {
         1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(own)));
     const double p_success = 0.05 + 0.5 * rng.next_double();
     const double p_noise = 0.3 * rng.next_double();
-    aligned::Tracker tracker(params, lowest, own);
+    aligned::Tracker tracker(lowest, own);
     ReferenceTracker ref(params, lowest, own);
     const Slot window = Slot{1} << own;
     // Half the cases start at the owning job's window start (fault-free),
@@ -182,7 +182,7 @@ TEST(HotPathEquivalence, TrackerMatchesDivisionReference) {
       t = window * static_cast<Slot>(rng.below(64));
     }
     for (int i = 0; i < 400; ++i) {
-      tracker.begin_slot(t);
+      tracker.begin_slot(t, params);
       ref.begin_slot(t);
       ASSERT_EQ(tracker.active_class(), ref.active_class())
           << "case " << c << " slot " << t;
@@ -209,7 +209,7 @@ TEST(HotPathEquivalence, TrackerMatchesDivisionReference) {
         }
       }
       const sim::SlotOutcome outcome = draw_outcome(rng, p_success, p_noise);
-      tracker.end_slot(outcome);
+      tracker.end_slot(outcome, params);
       ref.end_slot(outcome);
       // Mostly consecutive slots; a skew slips one slot ahead, a stall
       // skips up to three windows of the owning class.
@@ -243,6 +243,7 @@ TEST(HotPathEquivalence, EstimationMatchesDivisionReference) {
       aligned::EstimationState est(params, level);
       const std::int64_t len = static_cast<std::int64_t>(lambda) * level;
       std::vector<std::int64_t> successes(static_cast<std::size_t>(level), 0);
+      std::vector<std::int64_t> counts(successes.size(), 0);  // est's
       for (std::int64_t steps = 0;; ++steps) {
         ASSERT_EQ(est.steps_taken(), steps);
         ASSERT_EQ(est.complete(), steps >= len * level)
@@ -258,14 +259,12 @@ TEST(HotPathEquivalence, EstimationMatchesDivisionReference) {
         if (outcome == sim::SlotOutcome::kSuccess) {
           ++successes[static_cast<std::size_t>(phase - 1)];
         }
-        est.record(outcome);
+        est.record(outcome, counts);
       }
       ReferenceTracker ref(params, level, level);
-      EXPECT_EQ(est.estimate(), ref.reference_estimate(successes));
-      for (int phase = 1; phase <= level; ++phase) {
-        EXPECT_EQ(est.phase_successes(phase),
-                  successes[static_cast<std::size_t>(phase - 1)]);
-      }
+      EXPECT_EQ(est.estimate(counts, params.tau),
+                ref.reference_estimate(successes));
+      EXPECT_EQ(counts, successes);
     }
   }
 }
