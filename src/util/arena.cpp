@@ -29,7 +29,9 @@ void* MonotonicArena::allocate(std::size_t size, std::size_t align) {
 
 void MonotonicArena::grow(std::size_t min_bytes) {
   const std::size_t bytes = std::max(min_bytes, next_block_bytes_);
-  blocks_.push_back(std::make_unique<std::byte[]>(bytes));
+  // Left uninitialized: every object is constructed in place, and a block's
+  // untouched tail then costs no resident memory.
+  blocks_.push_back(std::make_unique_for_overwrite<std::byte[]>(bytes));
   cursor_ = blocks_.back().get();
   end_ = cursor_ + bytes;
   bytes_reserved_ += bytes;
