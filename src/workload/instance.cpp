@@ -45,12 +45,18 @@ Slot Instance::max_window() const noexcept {
 }
 
 void Instance::normalize() {
-  std::sort(jobs.begin(), jobs.end(), [](const JobSpec& a, const JobSpec& b) {
+  const auto by_release = [](const JobSpec& a, const JobSpec& b) {
     if (a.release != b.release) {
       return a.release < b.release;
     }
     return a.deadline < b.deadline;
-  });
+  };
+  // Most instances arrive sorted (every generator's output, and each
+  // Simulation normalizes its copy again). A JobSpec is nothing but its two
+  // sort keys, so skipping the sort then changes nothing.
+  if (!std::is_sorted(jobs.begin(), jobs.end(), by_release)) {
+    std::sort(jobs.begin(), jobs.end(), by_release);
+  }
 }
 
 bool Instance::valid() const noexcept {

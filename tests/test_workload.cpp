@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "util/math.hpp"
 #include "util/rng.hpp"
 #include "workload/feasibility.hpp"
@@ -33,6 +35,22 @@ TEST(Instance, NormalizeSortsByReleaseThenDeadline) {
   EXPECT_EQ(inst.jobs[1], (JobSpec{0, 10}));
   EXPECT_EQ(inst.jobs[2], (JobSpec{5, 7}));
   EXPECT_EQ(inst.jobs[3], (JobSpec{5, 9}));
+}
+
+TEST(Instance, NormalizeLeavesSortedInstanceAsItIs) {
+  Instance inst;
+  inst.jobs = {{0, 4}, {0, 4}, {0, 10}, {5, 7}, {5, 7}, {5, 9}};
+  const std::vector<JobSpec> before = inst.jobs;
+  inst.normalize();
+  EXPECT_EQ(inst.jobs, before);
+}
+
+TEST(Instance, NormalizeSortsAnInstanceUnsortedOnlyAtItsEnd) {
+  Instance inst;
+  inst.jobs = {{0, 4}, {0, 10}, {5, 7}, {5, 9}, {0, 6}};
+  inst.normalize();
+  const std::vector<JobSpec> want = {{0, 4}, {0, 6}, {0, 10}, {5, 7}, {5, 9}};
+  EXPECT_EQ(inst.jobs, want);
 }
 
 TEST(Instance, ValidRejectsEmptyWindows) {
