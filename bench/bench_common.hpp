@@ -172,6 +172,16 @@ inline CommonArgs parse_common(const util::Args& args, int default_reps,
   return c;
 }
 
+/// parse_common for a harness that runs serially by design (DESIGN.md
+/// §6d). --threads is still parsed and range-checked, but the harness runs
+/// on one thread, so `threads` is 1 and its JSON and metrics say so.
+inline CommonArgs parse_serial(const util::Args& args, int default_reps,
+                               std::uint64_t default_seed = 1) {
+  CommonArgs c = parse_common(args, default_reps, default_seed);
+  c.threads = 1;
+  return c;
+}
+
 /// Shared workload constructions for the engine-throughput harnesses
 /// (bench_slot_engine, bench_stability, bench_megascale). Each Kind
 /// reproduces the construction the harnesses historically inlined,

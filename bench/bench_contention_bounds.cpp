@@ -15,7 +15,7 @@
 int main(int argc, char** argv) {
   using namespace crmd;
   const util::Args args(argc, argv);
-  const auto common = bench::parse_common(args, /*default_reps=*/200000);
+  const auto common = bench::parse_serial(args, /*default_reps=*/200000);
   auto trace = bench::make_trace_session(common);
 
   const int n = static_cast<int>(args.get_int("jobs", 32));

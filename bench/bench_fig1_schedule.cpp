@@ -35,7 +35,7 @@ struct WindowStats {
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
-  const auto common = bench::parse_common(args, /*default_reps=*/1);
+  const auto common = bench::parse_serial(args, /*default_reps=*/1);
   auto trace = bench::make_trace_session(common);
 
   core::Params p;

@@ -79,7 +79,7 @@ double slots_per_sec(const Point& p) {
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
   // reps here are timing repetitions per sweep point, not replications.
-  const bench::CommonArgs common = bench::parse_common(args, /*reps=*/4);
+  const bench::CommonArgs common = bench::parse_serial(args, /*reps=*/4);
   auto trace = bench::make_trace_session(common);
 
   std::vector<std::int64_t> job_counts = {256, 1024, 8192};
