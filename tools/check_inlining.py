@@ -9,10 +9,11 @@ Disassembles BINARY (`objdump -d -C`) and finds `step_slot<P>` of every
 registered protocol class P, its `[clone .cold]` parts included. A call or
 jump from one of them to `P::on_slot`, `P::on_feedback` or `P::done` means
 the compiler kept that per-slot call out of line, so each live job-slot
-pays for a call (DESIGN.md §6e). Each such call is reported, and the exit
-status is 1; it is also 1 when a pipeline is missing from the binary.
-EXCEPTIONS lists the calls that are out of line on purpose. The check is
-meaningful only for an optimized GCC build.
+pays for a call (DESIGN.md §6e). HELPERS names the calls those bodies make
+on every job-slot that must inline as well. Each such call is reported,
+and the exit status is 1; it is also 1 when a pipeline is missing from the
+binary. EXCEPTIONS lists the calls that are out of line on purpose. The
+check is meaningful only for an optimized GCC build.
 """
 
 import argparse
@@ -32,6 +33,17 @@ CLASSES = [
 ]
 
 PER_SLOT = ("on_slot", "on_feedback", "done")
+
+# Calls a protocol's per-slot bodies make on every job-slot, which must
+# inline into its pipeline too: ALIGNED steps its class tracker, and the
+# tracker its active class's estimation, in every slot.
+HELPERS = {
+    "crmd::core::aligned::AlignedProtocol": (
+        "crmd::core::aligned::Tracker::begin_slot",
+        "crmd::core::aligned::Tracker::end_slot",
+        "crmd::core::aligned::EstimationState::record",
+    ),
+}
 
 # Per-slot calls kept out of line: each runs about once per job in
 # stream_bursty, where jobs spend most slots parked, so inlining them
@@ -73,10 +85,10 @@ def scan(lines):
         if not branch:
             continue
         callee = branch.group(1).split("(")[0]
-        for name in PER_SLOT:
-            target = current + "::" + name
-            if callee == target and target not in EXCEPTIONS:
-                calls.append((owner, callee))
+        targets = [current + "::" + name for name in PER_SLOT]
+        targets.extend(HELPERS.get(current, ()))
+        if callee in targets and callee not in EXCEPTIONS:
+            calls.append((owner, callee))
     return seen, calls
 
 
