@@ -56,11 +56,16 @@ util::SuccessCounter run_batches(const core::Params& params, int level,
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
   const auto common = bench::parse_common(args, /*default_reps=*/40);
+  const std::int64_t load_divisor = bench::int64_flag(
+      args, "load-divisor", 256, 1, std::numeric_limits<std::int64_t>::max());
+  const double p_jam = bench::double_flag(args, "stress-jam", 0.7, 0.0, 1.0);
+  const int stress_batch = bench::int_flag(args, "stress-batch", 4, 1);
+  const int trials = bench::int_flag(args, "stress-trials",
+                                     common.quick ? 4000 : 20000, 1);
   auto trace = bench::make_trace_session(common);
 
   // ---- (1) clean channel, proportional load --------------------------------
   {
-    const std::int64_t load_divisor = args.get_int("load-divisor", 256);
     std::vector<int> levels{10, 11, 12, 13, 14, 15};
     if (common.quick) {
       levels = {10, 12, 14};
@@ -101,10 +106,6 @@ int main(int argc, char** argv) {
 
   // ---- (2) jam-stressed decay ----------------------------------------------
   {
-    const double p_jam = args.get_double("stress-jam", 0.7);
-    const std::int64_t batch = args.get_int("stress-batch", 4);
-    const int trials = static_cast<int>(
-        args.get_int("stress-trials", common.quick ? 4000 : 20000));
     std::vector<int> levels{8, 9, 10, 11, 12, 13};
     if (common.quick) {
       levels = {8, 10, 12};
@@ -117,10 +118,10 @@ int main(int argc, char** argv) {
       params.tau = 8;
       for (const int level : levels) {
         params.min_class = level;
-        const int reps = std::max(2, trials / static_cast<int>(batch));
+        const int reps = std::max(2, trials / stress_batch);
         const auto counter =
-            run_batches(params, level, batch, reps, common.seed + 1, p_jam,
-                        trace.get(), common.threads);
+            run_batches(params, level, stress_batch, reps, common.seed + 1,
+                        p_jam, trace.get(), common.threads);
         const auto [lo, hi] = counter.wilson95();
         const double fail = counter.failure_rate();
         table.add_row(

@@ -112,6 +112,50 @@ inline void require_written(bool written, const std::string& path) {
   }
 }
 
+/// Returns `parse()`. A std::invalid_argument it throws (a malformed or
+/// out-of-range flag) prints one `error:` line and exits 2: how every
+/// harness refuses a bad command line before it runs anything.
+template <typename Parse>
+auto checked(Parse&& parse) -> decltype(parse()) {
+  try {
+    return parse();
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    std::exit(2);
+  }
+}
+
+/// Integer flag `key` in [lo, hi], checked before any narrowing.
+inline std::int64_t int64_flag(const util::Args& args, const std::string& key,
+                               std::int64_t fallback, std::int64_t lo,
+                               std::int64_t hi) {
+  return checked([&] { return args.get_int_in(key, fallback, lo, hi); });
+}
+
+/// int64_flag for a flag a harness holds in an int.
+inline int int_flag(const util::Args& args, const std::string& key,
+                    int fallback, int lo,
+                    int hi = std::numeric_limits<int>::max()) {
+  return static_cast<int>(int64_flag(args, key, fallback, lo, hi));
+}
+
+/// Real flag `key` in [lo, hi], or in (lo, hi] when `open_lo`. NaN lies
+/// in no range.
+inline double double_flag(const util::Args& args, const std::string& key,
+                          double fallback, double lo, double hi,
+                          bool open_lo = false) {
+  return checked([&] {
+    const double v = args.get_double(key, fallback);
+    if (!((open_lo ? v > lo : v >= lo) && v <= hi)) {
+      std::ostringstream what;
+      what << "--" << key << " must be in " << (open_lo ? '(' : '[') << lo
+           << ", " << hi << "], got " << args.get(key);
+      throw std::invalid_argument(what.str());
+    }
+    return v;
+  });
+}
+
 /// Parses the shared flags with harness-specific defaults. A malformed
 /// number, `--reps` outside [1, 2^31) or `--threads` outside
 /// [0, util::kMaxThreads] prints one `error:` line and exits 2.
@@ -119,16 +163,10 @@ inline CommonArgs parse_common(const util::Args& args, int default_reps,
                                std::uint64_t default_seed = 1) {
   CommonArgs c;
   c.quick = args.get_bool("quick", false);
-  try {
-    c.reps = static_cast<int>(args.get_int_in(
-        "reps", default_reps, 1, std::numeric_limits<int>::max()));
-    c.seed = static_cast<std::uint64_t>(args.get_int("seed", default_seed));
-    c.threads = static_cast<int>(
-        args.get_int_in("threads", 0, 0, util::kMaxThreads));
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    std::exit(2);
-  }
+  c.reps = int_flag(args, "reps", default_reps, 1);
+  c.seed = static_cast<std::uint64_t>(
+      checked([&] { return args.get_int("seed", default_seed); }));
+  c.threads = int_flag(args, "threads", 0, 0, util::kMaxThreads);
   if (c.quick) {
     c.reps = std::max(1, c.reps / 4);
   }
@@ -229,7 +267,7 @@ inline workload::Instance make_workload(const WorkloadSpec& spec,
 /// --timeline. `get()` is null when tracing is off, which every consumer
 /// treats as "emit nothing" (see CRMD_TRACE); pass it to run_replications
 /// or SimConfig::tracer. Call finish() (or let the destructor run) to
-/// flush and write the Chrome trace / timeline files.
+/// close the Chrome trace and write the timeline file.
 struct TraceSession {
   std::unique_ptr<obs::Tracer> tracer;
   std::shared_ptr<obs::Timeline> timeline;
@@ -242,13 +280,12 @@ struct TraceSession {
 
   [[nodiscard]] obs::Tracer* get() const noexcept { return tracer.get(); }
 
-  /// Flushes pending events and writes the timeline JSON (idempotent; a
-  /// later finish() will not rewrite it). Also stamps trace.emitted /
-  /// trace.dropped_events into the global metrics registry so a --metrics
-  /// snapshot records trace completeness.
+  /// Writes the timeline JSON (idempotent; a later finish() will not
+  /// rewrite it). Also stamps trace.emitted / trace.dropped_events into
+  /// the global metrics registry so a --metrics snapshot records trace
+  /// completeness.
   void export_artifacts() {
     if (tracer) {
-      tracer->flush();
       obs::Registry& reg = obs::global_registry();
       reg.counter("trace.emitted")
           .inc(static_cast<std::int64_t>(tracer->emitted()) -

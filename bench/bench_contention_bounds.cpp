@@ -16,9 +16,9 @@ int main(int argc, char** argv) {
   using namespace crmd;
   const util::Args args(argc, argv);
   const auto common = bench::parse_serial(args, /*default_reps=*/200000);
-  auto trace = bench::make_trace_session(common);
 
-  const int n = static_cast<int>(args.get_int("jobs", 32));
+  const int n = bench::int_flag(args, "jobs", 32, 1);
+  auto trace = bench::make_trace_session(common);
   const std::vector<double> contentions{0.125, 0.25, 0.5, 1.0,
                                         2.0,   4.0,  8.0, 16.0};
 

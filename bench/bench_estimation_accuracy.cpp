@@ -46,12 +46,14 @@ std::int64_t simulate_estimate(const core::Params& params, int level,
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
   const auto common = bench::parse_serial(args, /*default_reps=*/200);
-  auto trace = bench::make_trace_session(common);
 
   core::Params params;
-  params.lambda = static_cast<int>(args.get_int("lambda", 4));
-  params.tau = args.get_int("tau", 64);  // the paper's constant
-  const int level = static_cast<int>(args.get_int("level", 16));
+  params.lambda = bench::int_flag(args, "lambda", 4, 1);
+  // tau defaults to the paper's constant.
+  params.tau = bench::checked([&] { return args.get_int("tau", 64); });
+  bench::checked([&] { params.validate(); });
+  const int level = bench::int_flag(args, "level", 16, 1, 40);
+  auto trace = bench::make_trace_session(common);
 
   const std::vector<std::int64_t> sizes{1, 4, 16, 64, 256, 1024, 4096};
   const std::vector<double> jams{0.0, 0.25, 0.5};

@@ -53,18 +53,17 @@ int main(int argc, char** argv) {
   using namespace crmd;
   const util::Args args(argc, argv);
   const auto common = bench::parse_common(args, /*default_reps=*/10);
-  auto trace = bench::make_trace_session(common);
 
   core::Params params;
-  params.lambda = static_cast<int>(args.get_int("lambda", 2));
+  params.lambda = bench::int_flag(args, "lambda", 2, 1);
   params.tau = 8;
-  const int level = static_cast<int>(args.get_int("level", 13));
+  const int level = bench::int_flag(args, "level", 13, 1, 40);
   params.min_class = level;
   // Opt in to graceful degradation so PUNCTUAL's desync fallback is part of
   // the measured behavior (0 disables; see Params::desync_tolerance).
-  params.desync_tolerance =
-      static_cast<int>(args.get_int("desync-tolerance", 8));
-  const std::int64_t batch = args.get_int("batch", 16);
+  params.desync_tolerance = bench::int_flag(args, "desync-tolerance", 8, 0);
+  const std::int64_t batch = bench::int_flag(args, "batch", 16, 1);
+  auto trace = bench::make_trace_session(common);
   const Slot window = Slot{1} << level;
 
   const analysis::InstanceGen gen = [&](util::Rng&) {

@@ -19,14 +19,14 @@ int main(int argc, char** argv) {
   using namespace crmd;
   const util::Args args(argc, argv);
   const auto common = bench::parse_common(args, /*default_reps=*/20);
-  auto trace = bench::make_trace_session(common);
 
   core::Params params;
-  params.lambda = static_cast<int>(args.get_int("lambda", 2));
+  params.lambda = bench::int_flag(args, "lambda", 2, 1);
   params.tau = 8;
-  const int level = static_cast<int>(args.get_int("level", 13));
+  const int level = bench::int_flag(args, "level", 13, 1, 40);
   params.min_class = level;
-  const std::int64_t batch = args.get_int("batch", 16);
+  const std::int64_t batch = bench::int_flag(args, "batch", 16, 1);
+  auto trace = bench::make_trace_session(common);
   const auto factory = core::aligned::make_aligned_factory(params);
 
   const analysis::InstanceGen gen = [&](util::Rng&) {

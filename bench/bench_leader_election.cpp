@@ -20,8 +20,8 @@ int main(int argc, char** argv) {
   using namespace crmd;
   const util::Args args(argc, argv);
   const auto common = bench::parse_common(args, /*default_reps=*/25);
+  const int level = bench::int_flag(args, "level", 12, 1, 40);
   auto trace = bench::make_trace_session(common);
-  const int level = static_cast<int>(args.get_int("level", 12));
   const Slot w = Slot{1} << level;
 
   const std::vector<std::int64_t> batch_sizes{1, 4, 16, 64, 256};

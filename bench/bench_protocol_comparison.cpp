@@ -58,6 +58,7 @@ std::vector<Contender> contenders() {
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
   const auto common = bench::parse_common(args, /*default_reps=*/10);
+  const std::int64_t n = bench::int_flag(args, "starvation-n", 1024, 1);
 
   // ---- (a) general slack-feasible instances -------------------------------
   const analysis::InstanceGen gen = [&](util::Rng& rng) {
@@ -116,7 +117,6 @@ int main(int argc, char** argv) {
               common, &trace);
 
   // ---- (b) the starvation instance ----------------------------------------
-  const std::int64_t n = args.get_int("starvation-n", 1024);
   const double gamma = 0.25;
   const auto instance = workload::gen_starvation(n, gamma);
   const auto cohort = static_cast<std::int64_t>(std::sqrt(n));

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   const auto common = bench::parse_common(args, /*default_reps=*/12);
 
   core::Params params;
-  params.lambda = static_cast<int>(args.get_int("lambda", 4));
+  params.lambda = bench::int_flag(args, "lambda", 4, 1);
   params.tau = 8;
   params.min_class = 8;
   const auto factory = core::punctual::make_punctual_factory(params);

@@ -17,9 +17,11 @@ int main(int argc, char** argv) {
   using namespace crmd;
   const util::Args args(argc, argv);
   const auto common = bench::parse_common(args, /*default_reps=*/3);
+  constexpr Slot kMaxSlot = std::numeric_limits<Slot>::max();
+  const Slot window = bench::int64_flag(args, "window", 1 << 12, 1, kMaxSlot);
+  const Slot horizon =
+      bench::int64_flag(args, "horizon", 1 << 14, window, kMaxSlot);
   auto trace = bench::make_trace_session(common);
-  const Slot window = args.get_int("window", 1 << 12);
-  const Slot horizon = args.get_int("horizon", 1 << 14);
 
   core::Params params;
   params.lambda = 4;

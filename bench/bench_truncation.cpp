@@ -20,14 +20,16 @@ int main(int argc, char** argv) {
   const auto common = bench::parse_common(args, /*default_reps=*/8);
 
   core::Params params;
-  params.lambda = static_cast<int>(args.get_int("lambda", 2));
-  params.tau = args.get_int("tau", 8);
+  params.lambda = bench::int_flag(args, "lambda", 2, 1);
+  params.tau = bench::checked([&] { return args.get_int("tau", 8); });
   params.min_class = 10;
+  bench::checked([&] { params.validate(); });
   const auto factory = core::aligned::make_aligned_factory(params);
 
   const std::vector<double> gammas{1.0 / 32,  1.0 / 64, 1.0 / 128,
                                    1.0 / 256, 1.0 / 512};
-  const double fill = args.get_double("fill", 1.0);
+  const double fill =
+      bench::double_flag(args, "fill", 1.0, 0.0, 1.0, /*open_lo=*/true);
 
   auto trace = bench::make_trace_session(common);
   util::Table table({"gamma", "jobs/rep", "failure rate", "95% CI",

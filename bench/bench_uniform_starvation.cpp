@@ -21,8 +21,9 @@ int main(int argc, char** argv) {
   using namespace crmd;
   const util::Args args(argc, argv);
   const auto common = bench::parse_common(args, /*default_reps=*/60);
+  const double gamma =
+      bench::double_flag(args, "gamma", 0.25, 0.0, 1.0, /*open_lo=*/true);
   auto trace = bench::make_trace_session(common);
-  const double gamma = args.get_double("gamma", 0.25);
 
   core::Params params;
   params.uniform_attempts = 1;

@@ -14,9 +14,9 @@
 /// class hand-offs (§3), PUNCTUAL's success path is a walk through its
 /// stage machine (§4), and fault injection perturbs what individual jobs
 /// perceive. A TraceEvent is one timestamped, attributed fact from inside
-/// that machinery. Events are fixed-size PODs so the ring buffer
-/// (ring.hpp) can store them without allocation and the hot path stays
-/// branch-plus-store cheap.
+/// that machinery. Events are fixed-size PODs, so emitting one allocates
+/// nothing and a collector or a per-task recording (run_traced.hpp) stores
+/// it by plain copy.
 ///
 /// Payload convention: `a` and `b` are kind-specific integer arguments,
 /// `x` a kind-specific real argument, and `label` an optional static

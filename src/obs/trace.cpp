@@ -101,67 +101,38 @@ void write_event_jsonl(std::ostream& out, const TraceEvent& ev) {
 
 // ---- Tracer ---------------------------------------------------------------
 
-Tracer::Tracer(std::size_t ring_capacity) : ring_(ring_capacity) {}
-
 Tracer::~Tracer() { close(); }
 
 void Tracer::add_sink(std::shared_ptr<EventSink> sink) {
-  const std::lock_guard<std::mutex> lock(drain_mu_);
+  const std::lock_guard<std::mutex> lock(mu_);
   sinks_.push_back(std::move(sink));
 }
 
 void Tracer::emit(EventKind kind, Slot slot, JobId job, std::int64_t a,
                   std::int64_t b, double x, const char* label) {
-  if (closed_.load(std::memory_order_relaxed)) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (closed_) {
+    ++dropped_;
     return;
   }
-  TraceEvent ev;
-  ev.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  ev.slot = slot;
-  ev.kind = kind;
-  ev.job = job;
-  ev.a = a;
-  ev.b = b;
-  ev.x = x;
-  ev.label = label;
-  // Ring full: drain inline and retry. With concurrent emitters another
-  // thread can refill the ring between our drain and retry, so loop.
-  while (!ring_.try_push(ev)) {
-    flush();
-  }
-}
-
-void Tracer::drain() {
-  // Draining with zero sinks is the one place events are lost (the
-  // "tracing on, no sink" discard path); count them so truncated traces
-  // cannot masquerade as complete.
+  const TraceEvent ev{next_seq_++, slot, kind, job, a, b, x, label};
+  // No sink to hear it: counted, so a truncated trace cannot masquerade
+  // as complete.
   if (sinks_.empty()) {
-    std::uint64_t lost = 0;
-    ring_.pop_all([&lost](const TraceEvent&) { ++lost; });
-    dropped_.fetch_add(lost, std::memory_order_relaxed);
+    ++dropped_;
     return;
   }
-  ring_.pop_all([this](const TraceEvent& ev) {
-    for (const auto& sink : sinks_) {
-      sink->on_event(ev);
-    }
-  });
-}
-
-void Tracer::flush() {
-  const std::lock_guard<std::mutex> lock(drain_mu_);
-  drain();
+  for (const auto& sink : sinks_) {
+    sink->on_event(ev);
+  }
 }
 
 void Tracer::close() {
-  if (closed_.exchange(true, std::memory_order_relaxed)) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (closed_) {
     return;
   }
-  // Late emitters may still be pushing; after `closed_` flips they stop,
-  // and this final drain publishes everything already in the ring.
-  const std::lock_guard<std::mutex> lock(drain_mu_);
-  drain();
+  closed_ = true;
   for (const auto& sink : sinks_) {
     sink->close();
   }

@@ -1,6 +1,6 @@
 #pragma once
 
-#include <atomic>
+#include <cstdint>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
@@ -10,35 +10,34 @@
 #include <vector>
 
 #include "obs/events.hpp"
-#include "obs/ring.hpp"
 
 /// \file trace.hpp (obs)
 /// The event tracing session: protocols and the simulator emit TraceEvents
-/// through a Tracer, which buffers them in a lock-free ring and drains to
-/// any number of sinks (JSONL, Chrome trace-event JSON, the watchdog,
+/// through a Tracer, which stamps each with its seq and hands it straight
+/// to any number of sinks (JSONL, Chrome trace-event JSON, the watchdog,
 /// in-memory collectors).
 ///
 /// Cost model — the property the whole design hangs on:
 ///   * tracing OFF: the emission site is `CRMD_TRACE(ptr, ...)` where
-///     `ptr == nullptr`; the macro compiles to one pointer test. No ring,
-///     no sinks, no RNG perturbation — bit-identical runs (tested by
-///     test_obs.cpp DeterminismTracingOnOff, measured by bench_micro).
-///   * tracing ON, no sink: one ring push per event; full rings discard
-///     oldest-first in bulk (pop_all with a no-op consumer).
-///   * tracing ON with sinks: ring pushes plus a bulk drain whenever the
-///     ring fills (and at flush/close).
+///     `ptr == nullptr`; the macro compiles to one pointer test. No
+///     tracer, no sinks, no RNG perturbation — bit-identical runs (tested
+///     by ObsEndToEnd.TracingOnIsBitIdenticalToTracingOff, measured by
+///     bench_micro).
+///   * tracing ON, no sink: one uncontended lock and a counter bump per
+///     event; the event is counted in dropped().
+///   * tracing ON with sinks: one uncontended lock plus each sink's
+///     on_event, called inline.
 ///
 /// Emission must never change protocol behavior: emitters may not draw
 /// from protocol RNG streams and sinks only observe.
 ///
-/// Thread safety: emit() may be called from any number of threads (seq
-/// stamping is atomic, the ring is multi-producer); draining to sinks
-/// (flush/close, and the inline drain when the ring fills) is serialized
-/// by a mutex, so sinks themselves never see concurrent on_event calls.
-/// With concurrent emitters the *interleaving* of events across threads
-/// is nondeterministic — so runs on the worker pool trace through
-/// obs::run_traced (run_traced.hpp), which keeps sink streams bit-identical
-/// for every worker count.
+/// Thread safety: every member function may be called from any number of
+/// threads. One mutex covers seq stamping and the sink calls, so sinks
+/// see events in seq order and never see concurrent on_event calls. With
+/// concurrent emitters the *interleaving* of events across threads is
+/// nondeterministic — so runs on the worker pool trace through
+/// obs::run_traced (run_traced.hpp), which gives each parallel task its
+/// own Tracer and keeps sink streams bit-identical for every worker count.
 
 namespace crmd::obs {
 
@@ -60,56 +59,48 @@ class EventSink {
 /// done. Null `Tracer*` everywhere means tracing is off.
 class Tracer {
  public:
-  /// `ring_capacity` is rounded up to a power of two.
-  explicit Tracer(std::size_t ring_capacity = 1 << 16);
+  Tracer() = default;
   ~Tracer();
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  /// Registers a sink. Events emitted before registration that are still
-  /// in the ring will reach the sink; already-drained events will not.
+  /// Registers a sink. It sees the events emitted from now on; earlier
+  /// ones are gone.
   void add_sink(std::shared_ptr<EventSink> sink);
 
-  /// Appends one event (stamps the global seq). Thread-safe; drains the
-  /// ring (under the drain mutex) when it is full.
+  /// Stamps the next seq on one event and passes it to every sink.
+  /// Thread-safe.
   void emit(EventKind kind, Slot slot, JobId job = kNoJob, std::int64_t a = 0,
             std::int64_t b = 0, double x = 0.0, const char* label = nullptr);
 
-  /// Drains buffered events to the sinks. Thread-safe (serialized).
-  void flush();
-
-  /// Flushes and closes every sink. Further emits are discarded.
-  /// Idempotent and thread-safe.
+  /// Closes every sink. Further emits are discarded. Idempotent and
+  /// thread-safe.
   void close();
 
-  /// Total events emitted so far (including drained and discarded ones).
+  /// Events stamped with a seq so far (delivered or dropped while no sink
+  /// was attached; not those emitted after close()).
   [[nodiscard]] std::uint64_t emitted() const noexcept {
-    return next_seq_.load(std::memory_order_relaxed);
+    const std::lock_guard<std::mutex> lock(mu_);
+    return next_seq_;
   }
 
-  /// Events that never reached a sink: drained while no sink was attached
-  /// (ring overflow with zero sinks discards oldest-first) or emitted
-  /// after close(). With at least one sink attached for the whole session
-  /// this stays 0 — emit() blocks on a full ring by draining inline, so
-  /// sinks never miss events. A nonzero value means an exported trace is
+  /// Events that never reached a sink: emitted while no sink was attached,
+  /// or after close(). With a sink attached before the first emit this
+  /// stays 0 until close(). A nonzero value means an exported trace is
   /// incomplete; bench_common and crmd_cli surface it as a warning and a
   /// metrics-registry counter.
   [[nodiscard]] std::uint64_t dropped() const noexcept {
-    return dropped_.load(std::memory_order_relaxed);
+    const std::lock_guard<std::mutex> lock(mu_);
+    return dropped_;
   }
 
  private:
-  /// Pops the ring into the sinks, or counts it as dropped when there are
-  /// none. The caller holds drain_mu_.
-  void drain();
-
-  EventRing ring_;
-  std::mutex drain_mu_;  // serializes sink access (flush/close/add_sink)
+  mutable std::mutex mu_;  // guards every field below
   std::vector<std::shared_ptr<EventSink>> sinks_;
-  std::atomic<std::uint64_t> next_seq_{0};
-  std::atomic<std::uint64_t> dropped_{0};
-  std::atomic<bool> closed_{false};
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t dropped_ = 0;
+  bool closed_ = false;
 };
 
 /// Collects events into a vector (tests, ad-hoc analysis): every event, or

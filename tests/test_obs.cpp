@@ -1,5 +1,4 @@
-// Tests for the observability subsystem (src/obs/): ring buffer semantics,
-// tracer/sink plumbing, golden JSONL and Chrome trace output, metrics
+// Tests for the observability subsystem (src/obs/): tracer/sink plumbing, golden JSONL and Chrome trace output, metrics
 // registry, run profiler, watchdog invariants — and the contract the whole
 // design hangs on: tracing must never change simulation results.
 
@@ -19,7 +18,6 @@
 #include "core/registry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
-#include "obs/ring.hpp"
 #include "obs/trace.hpp"
 #include "obs/watchdog.hpp"
 #include "sim/simulator.hpp"
@@ -29,95 +27,15 @@
 namespace crmd {
 namespace {
 
-obs::TraceEvent event_with_seq(std::uint64_t seq) {
-  obs::TraceEvent ev;
-  ev.seq = seq;
-  ev.slot = static_cast<Slot>(seq * 3);
-  return ev;
-}
-
-// ---- EventRing ------------------------------------------------------------
-
-TEST(EventRing, RoundsCapacityUpToPowerOfTwo) {
-  obs::EventRing ring(5);
-  EXPECT_EQ(ring.capacity(), 8u);
-  obs::EventRing exact(16);
-  EXPECT_EQ(exact.capacity(), 16u);
-}
-
-TEST(EventRing, PushPopPreservesOrder) {
-  obs::EventRing ring(8);
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    ASSERT_TRUE(ring.try_push(event_with_seq(i)));
-  }
-  EXPECT_FALSE(ring.try_push(event_with_seq(99)));  // full
-
-  std::vector<std::uint64_t> seen;
-  const std::size_t drained =
-      ring.pop_all([&](const obs::TraceEvent& ev) { seen.push_back(ev.seq); });
-  EXPECT_EQ(drained, 8u);
-  ASSERT_EQ(seen.size(), 8u);
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(seen[i], i);
-  }
-}
-
-TEST(EventRing, WrapsAroundAfterDraining) {
-  obs::EventRing ring(4);
-  std::uint64_t next = 0;
-  std::vector<std::uint64_t> seen;
-  // Push/drain several times the capacity so tail and head wrap repeatedly.
-  for (int round = 0; round < 10; ++round) {
-    for (int i = 0; i < 3; ++i) {
-      ASSERT_TRUE(ring.try_push(event_with_seq(next++)));
-    }
-    ring.pop_all([&](const obs::TraceEvent& ev) { seen.push_back(ev.seq); });
-  }
-  ASSERT_EQ(seen.size(), 30u);
-  for (std::uint64_t i = 0; i < seen.size(); ++i) {
-    EXPECT_EQ(seen[i], i);
-  }
-  EXPECT_EQ(ring.size(), 0u);
-}
-
-TEST(EventRing, InterleavedProducersLoseNothing) {
-  // Multi-producer claim/publish: every pushed event is drained exactly
-  // once, regardless of interleaving.
-  obs::EventRing ring(1 << 12);
-  constexpr int kThreads = 4;
-  constexpr std::uint64_t kPerThread = 1000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&ring, t] {
-      for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        obs::TraceEvent ev;
-        ev.seq = static_cast<std::uint64_t>(t) * kPerThread + i;
-        while (!ring.try_push(ev)) {
-        }
-      }
-    });
-  }
-  for (auto& th : threads) {
-    th.join();
-  }
-  std::set<std::uint64_t> seen;
-  ring.pop_all([&](const obs::TraceEvent& ev) { seen.insert(ev.seq); });
-  EXPECT_EQ(seen.size(), kThreads * kPerThread);
-}
-
 // ---- Tracer + sinks -------------------------------------------------------
 
 TEST(Tracer, StampsMonotonicSeqAndDrainsInOrder) {
-  obs::Tracer tracer(16);
+  obs::Tracer tracer;
   auto collect = std::make_shared<obs::CollectSink>();
   tracer.add_sink(collect);
-  // Interleave emitters (different jobs) and overflow the tiny ring so the
-  // inline drain path runs too.
   for (int i = 0; i < 100; ++i) {
     tracer.emit(obs::EventKind::kSlotResolved, i, i % 3);
   }
-  tracer.flush();
   ASSERT_EQ(collect->events().size(), 100u);
   for (std::size_t i = 0; i < collect->events().size(); ++i) {
     EXPECT_EQ(collect->events()[i].seq, i);
@@ -133,7 +51,6 @@ TEST(Tracer, EmitAfterCloseIsDiscarded) {
   tracer.emit(obs::EventKind::kSlotResolved, 1);
   tracer.close();
   tracer.emit(obs::EventKind::kSlotResolved, 2);
-  tracer.flush();
   EXPECT_EQ(collect->events().size(), 1u);
 }
 
@@ -208,7 +125,7 @@ TEST(ChromeTraceSink, StreamedFileEqualsRender) {
   const std::string path = testing::TempDir() + "crmd_chrome_stream.json";
   const auto streamed = std::make_shared<obs::ChromeTraceSink>(path);
   const auto kept = std::make_shared<obs::ChromeTraceSink>("");
-  obs::Tracer tracer(64);  // a small ring, so the tracer drains mid-run
+  obs::Tracer tracer;
   tracer.add_sink(streamed);
   tracer.add_sink(kept);
   sim::SimConfig config;
@@ -468,16 +385,17 @@ workload::Instance general_instance(std::uint64_t seed) {
 
 // ---- Concurrent producers -------------------------------------------------
 //
-// The parallel replication engine feeds one Tracer (and through it the
-// watchdog/collector sinks), the global profiler, and the metrics registry
-// from every worker thread. These tests drive each from several threads
-// and assert exactness: no lost events, no lost increments, no spurious
-// watchdog violations.
+// The Tracer, the profiler and the metrics registry are thread-safe. The
+// worker pool gives each parallel task its own Tracer (obs::run_traced),
+// but every task's Simulation charges the one global profiler, and
+// harnesses feed the global registry from their folds. These tests drive
+// each from several threads and assert exactness: no lost events, no lost
+// increments, no spurious watchdog violations.
 
 TEST(ObsConcurrent, TracerKeepsEveryEventFromConcurrentEmitters) {
   constexpr int kThreads = 4;
   constexpr int kPerThread = 5000;
-  obs::Tracer tracer(/*ring_capacity=*/1 << 8);  // small: forces mid-run drains
+  obs::Tracer tracer;
   auto sink = std::make_shared<obs::CollectSink>();
   tracer.add_sink(sink);
 
@@ -498,8 +416,8 @@ TEST(ObsConcurrent, TracerKeepsEveryEventFromConcurrentEmitters) {
   EXPECT_EQ(tracer.emitted(), kThreads * kPerThread);
   ASSERT_EQ(sink->events().size(),
             static_cast<std::size_t>(kThreads * kPerThread));
-  // Seq stamps are unique (atomic), and per-thread event order survives the
-  // drains: each thread's i payloads must arrive ascending.
+  // Seq stamps are unique, and per-thread event order survives the
+  // interleaving: each thread's i payloads must arrive ascending.
   std::set<std::uint64_t> seqs;
   std::int64_t next_i[kThreads] = {};
   for (const obs::TraceEvent& ev : sink->events()) {
@@ -520,7 +438,7 @@ TEST(ObsConcurrent, WatchdogStaysExactUnderConcurrentJobStreams) {
   // concurrent-sink contract.
   constexpr int kThreads = 4;
   constexpr int kJobsPerThread = 200;
-  obs::Tracer tracer(/*ring_capacity=*/1 << 8);
+  obs::Tracer tracer;
   auto dog = std::make_shared<obs::Watchdog>();
   auto sink = std::make_shared<obs::CollectSink>();
   tracer.add_sink(dog);
@@ -615,7 +533,6 @@ TEST(ObsEndToEnd, TracingOnIsBitIdenticalToTracingOff) {
   sim::SimConfig on = off;
   on.tracer = &tracer;
   const sim::SimResult traced = sim::run(general_instance(5), factory, on);
-  tracer.flush();
 
   ASSERT_GT(collect->events().size(), 0u);
   ASSERT_EQ(base.jobs.size(), traced.jobs.size());
@@ -645,7 +562,6 @@ TEST(ObsEndToEnd, EveryPunctualJobEmitsStageTransitions) {
   config.seed = 99;
   config.tracer = &tracer;
   const sim::SimResult result = sim::run(general_instance(5), factory, config);
-  tracer.flush();
 
   ASSERT_GT(result.jobs.size(), 0u);
   std::set<JobId> with_stage;
@@ -673,7 +589,6 @@ TEST(ObsEndToEnd, ScriptedRunTraceMatchesGroundTruth) {
   const auto result =
       sim::run(test::instance_of({{0, 16}, {4, 24}}),
                test::per_job_script_factory({{2}, {5}}), config);
-  tracer.flush();
 
   ASSERT_EQ(result.jobs.size(), 2u);
   EXPECT_TRUE(result.jobs[0].success);

@@ -279,8 +279,8 @@ TEST(Timeline, EmptyTimelineWritesValidSkeleton) {
 // ---- Tracer drop accounting (satellite: overflow visibility) ---------------
 
 TEST(TracerDrops, SinklessTracerCountsEveryDiscardedEvent) {
-  obs::Tracer tracer(/*ring_capacity=*/1 << 4);
-  constexpr int kEvents = 100;  // forces several zero-sink drains
+  obs::Tracer tracer;
+  constexpr int kEvents = 100;
   for (int i = 0; i < kEvents; ++i) {
     tracer.emit(obs::EventKind::kTransmit, i);
   }
@@ -290,7 +290,7 @@ TEST(TracerDrops, SinklessTracerCountsEveryDiscardedEvent) {
 }
 
 TEST(TracerDrops, SinkedTracerDropsNothingAndCountsEmitsAfterClose) {
-  obs::Tracer tracer(/*ring_capacity=*/1 << 4);
+  obs::Tracer tracer;
   auto sink = std::make_shared<obs::CollectSink>();
   tracer.add_sink(sink);
   for (int i = 0; i < 100; ++i) {
@@ -303,6 +303,29 @@ TEST(TracerDrops, SinkedTracerDropsNothingAndCountsEmitsAfterClose) {
   tracer.emit(obs::EventKind::kTransmit, 0);  // after close: discarded
   EXPECT_EQ(tracer.dropped(), 1u);
   EXPECT_EQ(sink->events().size(), 100u);
+}
+
+// A sink hears only what is emitted after add_sink: earlier events are
+// dropped on the spot, yet keep their seq numbers.
+TEST(TracerDrops, EventsBeforeAddSinkAreDroppedAndNeverDelivered) {
+  obs::Tracer tracer;
+  for (int i = 0; i < 3; ++i) {
+    tracer.emit(obs::EventKind::kTransmit, i);
+  }
+  EXPECT_EQ(tracer.dropped(), 3u);
+  auto sink = std::make_shared<obs::CollectSink>();
+  tracer.add_sink(sink);
+  for (int i = 3; i < 5; ++i) {
+    tracer.emit(obs::EventKind::kTransmit, i);
+  }
+  tracer.close();
+  EXPECT_EQ(tracer.emitted(), 5u);
+  EXPECT_EQ(tracer.dropped(), 3u);
+  ASSERT_EQ(sink->events().size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(sink->events()[i].seq, 3 + i);
+    EXPECT_EQ(sink->events()[i].slot, static_cast<Slot>(3 + i));
+  }
 }
 
 // ---- Determinism contract --------------------------------------------------
