@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   using namespace crmd;
   const util::Args args(argc, argv);
   const auto common = bench::parse_common(args, /*default_reps=*/15);
+  bench::checked([&] { args.reject_unread(); });
   auto trace = bench::make_trace_session(common);
   const analysis::RunOptions options = bench::sweep_options(common, trace);
 

@@ -62,6 +62,7 @@ int main(int argc, char** argv) {
   const int stress_batch = bench::int_flag(args, "stress-batch", 4, 1);
   const int trials = bench::int_flag(args, "stress-trials",
                                      common.quick ? 4000 : 20000, 1);
+  bench::checked([&] { args.reject_unread(); });
   auto trace = bench::make_trace_session(common);
 
   // ---- (1) clean channel, proportional load --------------------------------

@@ -35,6 +35,7 @@ struct Bucket {
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
   const auto common = bench::parse_common(args, /*default_reps=*/5);
+  bench::checked([&] { args.reject_unread(); });
   auto trace = bench::make_trace_session(common);
 
   // Two configurations: the paper's claim rate (s=1: at laptop-scale

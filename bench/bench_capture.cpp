@@ -82,6 +82,7 @@ std::string alpha_label(double alpha) { return "a" + util::fmt(alpha, 2); }
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
   const bench::CommonArgs common = bench::parse_common(args, /*reps=*/8);
+  bench::checked([&] { args.reject_unread(); });
   auto trace = bench::make_trace_session(common);
 
   // Saturated batch: n = w/2 jobs in one power-of-2-aligned window — the

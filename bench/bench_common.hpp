@@ -16,16 +16,12 @@
 // trace-event export of every simulated run; open in chrome://tracing or
 // Perfetto), --timeline=path.json (slot-bucketed telemetry aggregated
 // over every simulated run — obs/timeline.hpp; bit-identical for every
-// --threads value), --metrics=path.json (metrics-registry snapshot),
-// --feedback=<model>[:param] (channel feedback semantics:
-// ternary | binary_ack | collision_as_silence | noisy[:eps] |
-// capture[:alpha] | unaware_no_cd; see sim/channel.hpp), --collision-cost=c (a perceived
-// collision freezes the channel for c-1 extra slots; default 1 = the
-// paper's channel; see sim/simulator.hpp), --fast-forward=off|on|validate
-// (event-driven idle-slot skipping; default off), --channels=K[:migrate[:N]]
-// (FDMA multi-channel scenario; default 1), --arrivals=SPEC (streaming
-// arrival process: poisson:RATE[:WINDOW] | mmpp:RLO:RHI[:WINDOW[:DWELL]] |
-// trace:PATH; see sim/arrivals.hpp).
+// --threads value), --metrics=path.json (metrics-registry snapshot).
+// A harness takes these and the flags it documents, nothing else: after
+// its last read, `checked([&] { args.reject_unread(); })` refuses any
+// other flag or a positional argument with one `error:` line and exit 2.
+// The channel and engine scenario flags (--collision-cost, --fast-forward,
+// --channels, --arrivals) belong to the few harnesses that apply them.
 //
 // JSON outputs carry a "meta" object with run-profiler timings (wall_ms,
 // slots_per_sec, per-phase breakdown) plus the worker count ("threads")
@@ -52,8 +48,6 @@
 #include "obs/run_traced.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
-#include "sim/arrivals.hpp"
-#include "sim/multichannel.hpp"
 #include "util/cli.hpp"
 #include "util/pool.hpp"
 #include "util/table.hpp"
@@ -77,30 +71,6 @@ struct CommonArgs {
   /// Workers as requested by --threads= (0 = hardware default); pass to
   /// run_replications or obs::run_traced, which resolve and clamp it.
   int threads;
-  /// Channel feedback semantics from --feedback=<model>[:param] (see
-  /// channel.hpp; "ternary", "binary_ack", "collision_as_silence",
-  /// "noisy[:eps]", "capture[:alpha]", "unaware_no_cd" — E17's channel,
-  /// whose loss of collision detection protocols are not told about).
-  /// Defaults to ternary —
-  /// bit-identical to a build without the flag. Pass via
-  /// analysis::RunOptions::feedback or SimConfig::feedback.
-  sim::FeedbackModel feedback;
-  /// Collision-cost physics from --collision-cost=c (>= 1; see
-  /// simulator.hpp SimConfig::collision_cost). Defaults to 1 — the
-  /// paper's channel, bit-identical to a build without the flag. Pass via
-  /// analysis::RunOptions::collision_cost or SimConfig::collision_cost.
-  int collision_cost;
-  /// Event-driven fast-forward from --fast-forward=off|on|validate (see
-  /// simulator.hpp FastForward). Defaults to kOff — bit-identical to a
-  /// build without the flag.
-  sim::FastForward fast_forward;
-  /// FDMA scenario from --channels=K[:migrate[:N]] (see multichannel.hpp).
-  /// Defaults to a single channel — the paper's.
-  sim::MultiChannelConfig multichannel;
-  /// Streaming arrival process from --arrivals=SPEC (see arrivals.hpp);
-  /// nullopt when the flag is absent. Harnesses that support it build one
-  /// process per run/shard with `arrivals->make()`.
-  std::optional<sim::ArrivalSpec> arrivals;
 };
 
 /// An output file that could not be written fails the harness the way a
@@ -156,11 +126,28 @@ inline double double_flag(const util::Args& args, const std::string& key,
   });
 }
 
+/// Scenario flag `key` read with one of the sim::parse_*_spec parsers
+/// (e.g. sim::parse_fast_forward_spec), or `fallback` when absent. A bad
+/// spec prints the parser's one `error:` line and exits 2.
+template <typename T>
+T spec_flag(const util::Args& args, const std::string& key, T fallback,
+            std::optional<T> (*parse)(const std::string&, std::ostream&)) {
+  if (!args.has(key)) {
+    return fallback;
+  }
+  if (const auto value = parse(args.get(key), std::cerr)) {
+    return *value;
+  }
+  std::exit(2);
+}
+
 /// Parses the shared flags with harness-specific defaults. A malformed
 /// number, `--reps` outside [1, 2^31) or `--threads` outside
-/// [0, util::kMaxThreads] prints one `error:` line and exits 2.
+/// [0, util::kMaxThreads] prints one `error:` line and exits 2. Starts the
+/// run profiler's clock, so meta.wall_ms covers the whole run.
 inline CommonArgs parse_common(const util::Args& args, int default_reps,
                                std::uint64_t default_seed = 1) {
+  obs::global_profiler().reset();
   CommonArgs c;
   c.quick = args.get_bool("quick", false);
   c.reps = int_flag(args, "reps", default_reps, 1);
@@ -175,38 +162,6 @@ inline CommonArgs parse_common(const util::Args& args, int default_reps,
   c.trace_events = args.get("trace-events", "");
   c.timeline = args.get("timeline", "");
   c.metrics = args.get("metrics", "");
-  const std::string spec = args.get("feedback", "ternary");
-  if (const auto model = sim::parse_feedback_spec(spec, std::cerr)) {
-    c.feedback = *model;
-  } else {
-    std::exit(2);
-  }
-  const std::string cost_spec = args.get("collision-cost", "1");
-  if (const auto cost = sim::parse_collision_cost(cost_spec, std::cerr)) {
-    c.collision_cost = *cost;
-  } else {
-    std::exit(2);
-  }
-  const std::string ff_spec = args.get("fast-forward", "off");
-  if (const auto ff = sim::parse_fast_forward_spec(ff_spec, std::cerr)) {
-    c.fast_forward = *ff;
-  } else {
-    std::exit(2);
-  }
-  const std::string chan_spec = args.get("channels", "1");
-  if (const auto chan = sim::parse_channels_spec(chan_spec, std::cerr)) {
-    c.multichannel = *chan;
-  } else {
-    std::exit(2);
-  }
-  if (args.has("arrivals")) {
-    const std::string arr_spec = args.get("arrivals", "");
-    if (const auto arr = sim::parse_arrivals_spec(arr_spec, std::cerr)) {
-      c.arrivals = *arr;
-    } else {
-      std::exit(2);
-    }
-  }
   return c;
 }
 

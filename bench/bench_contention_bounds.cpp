@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
   const auto common = bench::parse_serial(args, /*default_reps=*/200000);
 
   const int n = bench::int_flag(args, "jobs", 32, 1);
+  bench::checked([&] { args.reject_unread(); });
   auto trace = bench::make_trace_session(common);
   const std::vector<double> contentions{0.125, 0.25, 0.5, 1.0,
                                         2.0,   4.0,  8.0, 16.0};

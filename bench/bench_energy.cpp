@@ -89,6 +89,7 @@ using Key = std::tuple<std::string, std::string, std::string, std::string>;
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
   const bench::CommonArgs common = bench::parse_common(args, /*reps=*/8);
+  bench::checked([&] { args.reject_unread(); });
   auto trace = bench::make_trace_session(common);
 
   const int level = common.quick ? 9 : 10;

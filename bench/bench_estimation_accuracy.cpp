@@ -53,6 +53,7 @@ int main(int argc, char** argv) {
   params.tau = bench::checked([&] { return args.get_int("tau", 64); });
   bench::checked([&] { params.validate(); });
   const int level = bench::int_flag(args, "level", 16, 1, 40);
+  bench::checked([&] { args.reject_unread(); });
   auto trace = bench::make_trace_session(common);
 
   const std::vector<std::int64_t> sizes{1, 4, 16, 64, 256, 1024, 4096};

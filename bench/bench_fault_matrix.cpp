@@ -63,6 +63,7 @@ int main(int argc, char** argv) {
   // the measured behavior (0 disables; see Params::desync_tolerance).
   params.desync_tolerance = bench::int_flag(args, "desync-tolerance", 8, 0);
   const std::int64_t batch = bench::int_flag(args, "batch", 16, 1);
+  bench::checked([&] { args.reject_unread(); });
   auto trace = bench::make_trace_session(common);
   const Slot window = Slot{1} << level;
 

@@ -25,7 +25,8 @@
 //
 // Rows carry the slot-engine timing columns (slots, wall_ms,
 // slots_per_sec) so `tools/check_perf.py --check-only` can validate the
-// --json artifact shape.
+// --json artifact shape. --collision-cost=c (default 1, the paper's
+// channel) applies to every cell.
 
 #include <chrono>
 #include <cstdint>
@@ -68,6 +69,10 @@ std::string jam_tag(double jam) {
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
   const bench::CommonArgs common = bench::parse_common(args, /*reps=*/8);
+  // A perceived collision freezes the channel for c-1 extra slots
+  // (SimConfig::collision_cost); 1 is the paper's channel.
+  const int collision_cost = bench::int_flag(args, "collision-cost", 1, 1);
+  bench::checked([&] { args.reject_unread(); });
   auto trace = bench::make_trace_session(common);
 
   // Aligned instances work for every protocol (power-of-2-aligned windows
@@ -126,7 +131,7 @@ int main(int argc, char** argv) {
       for (const double jam : jams) {
         analysis::RunOptions options;
         options.feedback = model;
-        options.collision_cost = common.collision_cost;
+        options.collision_cost = collision_cost;
         options.threads = common.threads;
         options.tracer = trace.get();
         if (jam > 0.0) {

@@ -36,6 +36,7 @@ struct WindowStats {
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
   const auto common = bench::parse_serial(args, /*default_reps=*/1);
+  bench::checked([&] { args.reject_unread(); });
   auto trace = bench::make_trace_session(common);
 
   core::Params p;

@@ -26,6 +26,7 @@ int main(int argc, char** argv) {
   const int level = bench::int_flag(args, "level", 13, 1, 40);
   params.min_class = level;
   const std::int64_t batch = bench::int_flag(args, "batch", 16, 1);
+  bench::checked([&] { args.reject_unread(); });
   auto trace = bench::make_trace_session(common);
   const auto factory = core::aligned::make_aligned_factory(params);
 

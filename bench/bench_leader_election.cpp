@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   const util::Args args(argc, argv);
   const auto common = bench::parse_common(args, /*default_reps=*/25);
   const int level = bench::int_flag(args, "level", 12, 1, 40);
+  bench::checked([&] { args.reject_unread(); });
   auto trace = bench::make_trace_session(common);
   const Slot w = Slot{1} << level;
 

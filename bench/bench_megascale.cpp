@@ -26,11 +26,14 @@
 //                     thread per shard with --threads>=K); per-shard
 //                     metrics land in the JSON meta "per_shard" array.
 //
-// --arrivals=SPEC adds a stream/custom row driven by that process;
-// --fast-forward defaults to `on` here (pass off/validate to override).
+// Flags beyond the common ones: --arrivals=SPEC adds a stream/custom row
+// driven by that process; --fast-forward=off|on|validate applies to every
+// scenario and defaults to `on` here; --channels=K (default 4) sets the
+// shard/ fan-out.
 
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -89,16 +92,21 @@ Point measure(const std::string& scenario, std::int64_t jobs, int reps,
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
-  bench::CommonArgs common = bench::parse_common(args, /*reps=*/3);
-  // This harness exists to exercise the fast-forward engine; default it on
-  // (an explicit --fast-forward=off|validate still wins).
-  if (!args.has("fast-forward")) {
-    common.fast_forward = sim::FastForward::kOn;
+  const bench::CommonArgs common = bench::parse_common(args, /*reps=*/3);
+  // This harness exists to exercise the fast-forward engine, so it is on
+  // by default.
+  const sim::FastForward fast_forward = bench::spec_flag(
+      args, "fast-forward", sim::FastForward::kOn,
+      sim::parse_fast_forward_spec);
+  // Shard fan-out for the shard/ scenario, in SimConfig's [1, 256]. Shards
+  // are static, so this takes K alone: run_sharded refuses :migrate.
+  const int channels = bench::int_flag(args, "channels", 4, 1, 256);
+  std::optional<sim::ArrivalSpec> custom_arrivals;
+  if (args.has("arrivals")) {
+    custom_arrivals = bench::spec_flag(args, "arrivals", sim::ArrivalSpec{},
+                                       sim::parse_arrivals_spec);
   }
-  // Shard fan-out for the shard/ scenario; --channels overrides.
-  if (!args.has("channels")) {
-    common.multichannel.channels = 4;
-  }
+  bench::checked([&] { args.reject_unread(); });
   auto trace = bench::make_trace_session(common);
 
   const bool quick = common.quick;
@@ -128,7 +136,7 @@ int main(int argc, char** argv) {
         measure("sparse/uniform", n, common.reps, [&](std::uint64_t rep) {
           sim::SimConfig config;
           config.seed = common.seed + rep;
-          config.fast_forward = common.fast_forward;
+          config.fast_forward = fast_forward;
           config.tracer = trace.get();
           return sim::run(bench::make_workload(spec), uniform, config)
               .metrics;
@@ -146,7 +154,7 @@ int main(int argc, char** argv) {
         measure("idle/beb", idle_jobs, common.reps, [&](std::uint64_t rep) {
           sim::SimConfig config;
           config.seed = common.seed + rep;
-          config.fast_forward = common.fast_forward;
+          config.fast_forward = fast_forward;
           config.tracer = trace.get();
           return sim::run(bench::make_workload(spec), beb, config).metrics;
         }));
@@ -162,7 +170,7 @@ int main(int argc, char** argv) {
           sim::SimConfig config;
           config.seed = common.seed + rep;
           config.horizon = stream_horizon;
-          config.fast_forward = common.fast_forward;
+          config.fast_forward = fast_forward;
           config.keep_job_results = false;
           config.tracer = trace.get();
           const sim::SimResult result =
@@ -188,8 +196,8 @@ int main(int argc, char** argv) {
     mmpp.dwell = 16384;
     points.push_back(stream_point("stream/mmpp", mmpp));
 
-    if (common.arrivals) {
-      points.push_back(stream_point("stream/custom", *common.arrivals));
+    if (custom_arrivals) {
+      points.push_back(stream_point("stream/custom", *custom_arrivals));
     }
   }
 
@@ -197,7 +205,6 @@ int main(int argc, char** argv) {
   // per shard (clamped by --threads). Per-shard metrics go to JSON meta.
   std::vector<sim::SimMetrics> shard_metrics;
   {
-    const int k = common.multichannel.channels;
     const bench::WorkloadSpec spec{.kind = bench::WorkloadSpec::Kind::kBatch,
                                    .jobs = shard_jobs,
                                    .window = shard_window};
@@ -205,8 +212,8 @@ int main(int argc, char** argv) {
         "shard/uniform", shard_jobs, common.reps, [&](std::uint64_t rep) {
           sim::SimConfig config;
           config.seed = common.seed + rep;
-          config.multichannel.channels = k;
-          config.fast_forward = common.fast_forward;
+          config.multichannel.channels = channels;
+          config.fast_forward = fast_forward;
           config.tracer = trace.get();
           const sim::ShardedResult sharded = sim::run_sharded(
               bench::make_workload(spec), uniform, config, common.threads);
@@ -215,7 +222,7 @@ int main(int argc, char** argv) {
           }
           return sharded.total.metrics;
         });
-    p.shards = k;
+    p.shards = channels;
     points.push_back(p);
   }
 

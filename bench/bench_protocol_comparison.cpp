@@ -71,6 +71,7 @@ int main(int argc, char** argv) {
     return workload::gen_general(config, rng);
   };
 
+  bench::checked([&] { args.reject_unread(); });
   auto trace = bench::make_trace_session(common);
   util::Table table_a({"protocol", "delivered", "worst window-size",
                        "smallest-window delivery", "mean latency",

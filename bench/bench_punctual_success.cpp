@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
 
   const std::vector<double> gammas{1.0 / 16, 1.0 / 32, 1.0 / 64};
 
+  bench::checked([&] { args.reject_unread(); });
   auto trace = bench::make_trace_session(common);
   util::Table table({"gamma", "window", "trials", "failure rate",
                      "95% CI hi", "mean latency/window"});

@@ -38,6 +38,8 @@
 // Rows carry the slot-engine timing columns (scenario, jobs, slots,
 // wall_ms, slots_per_sec) so `tools/check_perf.py --check-only --expect`
 // can validate both the artifact shape and sweep completeness.
+// --collision-cost=c (default 1, the paper's channel) applies to every
+// sweep cell.
 
 #include <chrono>
 #include <cstdint>
@@ -99,6 +101,10 @@ class WindowedJammer final : public sim::Jammer {
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
   const bench::CommonArgs common = bench::parse_common(args, /*reps=*/8);
+  // A perceived collision freezes the channel for c-1 extra slots
+  // (SimConfig::collision_cost); 1 is the paper's channel.
+  const int collision_cost = bench::int_flag(args, "collision-cost", 1, 1);
+  bench::checked([&] { args.reject_unread(); });
   auto trace = bench::make_trace_session(common);
 
   // Saturated batch: n = w/2 jobs sharing one power-of-2-aligned window
@@ -185,7 +191,7 @@ int main(int argc, char** argv) {
         for (const Faults& faults : fault_plans) {
           analysis::RunOptions options;
           options.feedback = model;
-          options.collision_cost = common.collision_cost;
+          options.collision_cost = collision_cost;
           options.jammer_gen = adversary.gen;
           options.faults = faults.plan;
           options.threads = common.threads;

@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   using core::punctual::SlotType;
   const util::Args args(argc, argv);
   const auto common = bench::parse_common(args, /*default_reps=*/5);
+  bench::checked([&] { args.reject_unread(); });
   auto trace = bench::make_trace_session(common);
 
   core::Params params;

@@ -80,6 +80,10 @@ int main(int argc, char** argv) {
   const util::Args args(argc, argv);
   // reps here are timing repetitions per sweep point, not replications.
   const bench::CommonArgs common = bench::parse_serial(args, /*reps=*/4);
+  const sim::FastForward fast_forward = bench::spec_flag(
+      args, "fast-forward", sim::FastForward::kOff,
+      sim::parse_fast_forward_spec);
+  bench::checked([&] { args.reject_unread(); });
   auto trace = bench::make_trace_session(common);
 
   std::vector<std::int64_t> job_counts = {256, 1024, 8192};
@@ -109,7 +113,7 @@ int main(int argc, char** argv) {
                                config.seed = common.seed + rep;
                                config.horizon = horizon;
                                config.tracer = trace.get();
-                               config.fast_forward = common.fast_forward;
+                               config.fast_forward = fast_forward;
                                return sim::Simulation(
                                    bench::make_workload(burst), uniform,
                                    config);
@@ -129,7 +133,7 @@ int main(int argc, char** argv) {
                                config.feedback =
                                    sim::FeedbackModel::unaware_no_cd();
                                config.tracer = trace.get();
-                               config.fast_forward = common.fast_forward;
+                               config.fast_forward = fast_forward;
                                return sim::Simulation(
                                    bench::make_workload(burst), aloha,
                                    config);
@@ -149,7 +153,7 @@ int main(int argc, char** argv) {
           config.faults.stall_min = 4;
           config.faults.stall_max = 16;
           config.tracer = trace.get();
-          config.fast_forward = common.fast_forward;
+          config.fast_forward = fast_forward;
           return sim::Simulation(std::move(instance), uniform, config);
         }));
   }

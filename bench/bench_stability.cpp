@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   const Slot window = bench::int64_flag(args, "window", 1 << 12, 1, kMaxSlot);
   const Slot horizon =
       bench::int64_flag(args, "horizon", 1 << 14, window, kMaxSlot);
+  bench::checked([&] { args.reject_unread(); });
   auto trace = bench::make_trace_session(common);
 
   core::Params params;

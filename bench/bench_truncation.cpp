@@ -31,6 +31,7 @@ int main(int argc, char** argv) {
   const double fill =
       bench::double_flag(args, "fill", 1.0, 0.0, 1.0, /*open_lo=*/true);
 
+  bench::checked([&] { args.reject_unread(); });
   auto trace = bench::make_trace_session(common);
   util::Table table({"gamma", "jobs/rep", "failure rate", "95% CI",
                      "worst window-size failure", "channel util (data)",

@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
   const auto common = bench::parse_common(args, /*default_reps=*/60);
   const double gamma =
       bench::double_flag(args, "gamma", 0.25, 0.0, 1.0, /*open_lo=*/true);
+  bench::checked([&] { args.reject_unread(); });
   auto trace = bench::make_trace_session(common);
 
   core::Params params;

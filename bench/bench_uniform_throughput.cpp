@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
 
   const std::vector<double> gammas{1.0 / 8, 1.0 / 12, 1.0 / 24};
 
+  bench::checked([&] { args.reject_unread(); });
   auto trace = bench::make_trace_session(common);
   util::Table table({"windows", "gamma", "jobs/rep", "delivered fraction",
                      "95% CI", "mean contention", "edf fraction"});

@@ -135,6 +135,7 @@ void require_written(bool written, const std::string& path) {
 int run_cli(int argc, char** argv) {
   const util::Args args(argc, argv);
   if (args.has("list")) {
+    args.reject_unread();
     for (const auto& info : core::protocol_catalog()) {
       std::cout << info.name << " — " << info.description;
       if (info.needs_collision_detection) {
@@ -278,9 +279,21 @@ int run_cli(int argc, char** argv) {
   obs::WatchdogConfig wd_config;
   wd_config.contention_cap = args.get_double("watchdog-cap", 0.0);
   wd_config.settle_slots = args.get_int("watchdog-settle", 0);
-  // Reject every bad value before any run: one error line and exit 2, never
-  // an exception escaping a worker thread.
+  // Optional single-run trace exports (separate from the replicated sweep).
+  const std::string trace_path = args.get("trace", "");
+  const std::string jobs_path = args.get("jobs-csv", "");
+  const std::string faults_path = args.get("faults-csv", "");
+  const std::string events_path = args.get("trace-events", "");
+  const std::string jsonl_path = args.get("trace-jsonl", "");
+  const std::string timeline_path = args.get("timeline", "");
+  const std::string metrics_path = args.get("metrics", "");
+  const bool watchdog_strict = args.has("watchdog-strict");
+  const bool watchdog_on = args.has("watchdog") || watchdog_strict;
+  // Reject every bad value and every flag read nowhere above before any
+  // run: one error line and exit 2, never an exception escaping a worker
+  // thread or a flag silently ignored.
   try {
+    args.reject_unread();
     params.validate();
     config.validate();
     if (!arrivals && workload == "batch" && window < 1) {
@@ -321,16 +334,6 @@ int run_cli(int argc, char** argv) {
   }
   const auto factory = core::make_protocol(protocol, params);
 
-  // Optional single-run trace exports (separate from the replicated sweep).
-  const std::string trace_path = args.get("trace", "");
-  const std::string jobs_path = args.get("jobs-csv", "");
-  const std::string faults_path = args.get("faults-csv", "");
-  const std::string events_path = args.get("trace-events", "");
-  const std::string jsonl_path = args.get("trace-jsonl", "");
-  const std::string timeline_path = args.get("timeline", "");
-  const std::string metrics_path = args.get("metrics", "");
-  const bool watchdog_strict = args.has("watchdog-strict");
-  const bool watchdog_on = args.has("watchdog") || watchdog_strict;
   std::int64_t watchdog_violations = 0;
   if (!trace_path.empty() || !jobs_path.empty() || !faults_path.empty() ||
       !events_path.empty() || !jsonl_path.empty() || watchdog_on) {

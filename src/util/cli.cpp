@@ -51,25 +51,31 @@ Args::Args(int argc, const char* const* argv) {
   }
 }
 
-bool Args::has(const std::string& key) const { return flags_.count(key) > 0; }
+const std::string* Args::find(const std::string& key) const {
+  read_.insert(key);
+  const auto it = flags_.find(key);
+  return it == flags_.end() ? nullptr : &it->second;
+}
+
+bool Args::has(const std::string& key) const { return find(key) != nullptr; }
 
 std::string Args::get(const std::string& key,
                       const std::string& fallback) const {
-  const auto it = flags_.find(key);
-  if (it == flags_.end() || it->second == kPresent) {
+  const std::string* value = find(key);
+  if (value == nullptr || *value == kPresent) {
     return fallback;
   }
-  return it->second;
+  return *value;
 }
 
 std::int64_t Args::get_int(const std::string& key,
                            std::int64_t fallback) const {
-  const auto it = flags_.find(key);
-  if (it == flags_.end() || it->second == kPresent) {
+  const std::string* value = find(key);
+  if (value == nullptr || *value == kPresent) {
     return fallback;
   }
   return parse_number(
-      key, it->second, "integer",
+      key, *value, "integer",
       [](const std::string& text, std::size_t* used) {
         return std::stoll(text, used, 10);
       });
@@ -88,36 +94,55 @@ std::int64_t Args::get_int_in(const std::string& key, std::int64_t fallback,
 }
 
 double Args::get_double(const std::string& key, double fallback) const {
-  const auto it = flags_.find(key);
-  if (it == flags_.end() || it->second == kPresent) {
+  const std::string* value = find(key);
+  if (value == nullptr || *value == kPresent) {
     return fallback;
   }
   return parse_number(
-      key, it->second, "double",
+      key, *value, "double",
       [](const std::string& text, std::size_t* used) {
         return std::stod(text, used);
       });
 }
 
 bool Args::get_bool(const std::string& key, bool fallback) const {
-  const auto it = flags_.find(key);
-  if (it == flags_.end()) {
+  const std::string* value = find(key);
+  if (value == nullptr) {
     return fallback;
   }
-  const std::string& v = it->second;
-  if (v == kPresent || v == "1" || v == "true" || v == "yes" || v == "on") {
-    return true;
-  }
-  return false;
+  const std::string& v = *value;
+  return v == kPresent || v == "1" || v == "true" || v == "yes" || v == "on";
 }
 
-std::vector<std::string> Args::keys() const {
-  std::vector<std::string> out;
-  out.reserve(flags_.size());
-  for (const auto& [k, v] : flags_) {
-    out.push_back(k);
+void Args::reject_unread() const {
+  std::vector<std::string> flags;
+  for (const auto& [key, value] : flags_) {
+    if (read_.count(key) == 0) {
+      flags.push_back("--" + key);
+    }
   }
-  return out;
+  std::vector<std::string> extra;
+  if (!positional_read_) {
+    extra = positional_;
+  }
+  // "unknown flags --a, --b; unexpected argument x"
+  std::string what;
+  const auto list = [&what](const char* noun,
+                            const std::vector<std::string>& items) {
+    if (items.empty()) {
+      return;
+    }
+    what += (what.empty() ? "" : "; ") + std::string(noun) +
+            (items.size() > 1 ? "s " : " ");
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      what += (i > 0 ? ", " : "") + items[i];
+    }
+  };
+  list("unknown flag", flags);
+  list("unexpected argument", extra);
+  if (!what.empty()) {
+    throw std::invalid_argument(what);
+  }
 }
 
 }  // namespace crmd::util

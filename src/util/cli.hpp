@@ -2,20 +2,25 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 /// \file cli.hpp
-/// Minimal flag parsing for the experiment harnesses.
+/// Minimal flag parsing for the experiment harnesses and tools.
 ///
 /// Supported forms: `--key=value` and bare `--flag` (boolean); everything
-/// else is positional. Unknown flags are kept and can be listed, so
-/// harnesses can warn rather than crash. Not intended as a general-purpose
-/// CLI library — just enough for reproducible experiment invocation lines.
+/// else is positional. Every read (`has`, `get`, `get_*`, `positional`) is
+/// recorded, so a caller that has read all the flags it takes calls
+/// reject_unread() once and refuses the rest: a misspelt or foreign flag
+/// fails the command line instead of being ignored. Not intended as a
+/// general-purpose CLI library — just enough for reproducible experiment
+/// invocation lines.
 
 namespace crmd::util {
 
-/// Parsed command line.
+/// Parsed command line. The read record is not synchronized: read an Args
+/// from one thread.
 class Args {
  public:
   /// Parses argv (skipping argv[0]).
@@ -53,15 +58,24 @@ class Args {
 
   /// Positional (non-flag) arguments, in order.
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
+    positional_read_ = true;
     return positional_;
   }
 
-  /// All flag keys seen, for unknown-flag warnings.
-  [[nodiscard]] std::vector<std::string> keys() const;
+  /// Throws std::invalid_argument naming every flag that no read above
+  /// has asked for, and every positional argument when positional() was
+  /// never called ("unknown flag --bogus; unexpected argument x"). Call it
+  /// once, after the last read and before any work.
+  void reject_unread() const;
 
  private:
+  /// The value stored for `key` (nullptr when absent); records the read.
+  [[nodiscard]] const std::string* find(const std::string& key) const;
+
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
+  mutable std::set<std::string> read_;
+  mutable bool positional_read_ = false;
 };
 
 }  // namespace crmd::util

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <vector>
 
 #include "core/aligned/estimation.hpp"
@@ -108,6 +109,13 @@ struct EstimationCase {
 };
 
 class EstimationAccuracy : public ::testing::TestWithParam<EstimationCase> {};
+
+/// Prints a case by its values ("n_hat=128,p_jam=0.5"), so its ctest name,
+/// built from this text, is the same in every build (see
+/// test_generators_property.cpp).
+void PrintTo(const EstimationCase& c, std::ostream* out) {
+  *out << "n_hat=" << c.n_hat << ",p_jam=" << c.p_jam;
+}
 
 std::int64_t simulate_estimate(const Params& p, int level,
                                std::int64_t n_hat, double p_jam,

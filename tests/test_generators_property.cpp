@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <ostream>
+
 #include "util/math.hpp"
 #include "util/rng.hpp"
 #include "workload/feasibility.hpp"
@@ -18,6 +21,14 @@ struct GenCase {
   double fill;
   bool pow2;
 };
+
+/// Prints a case by its values ("gamma=1/8,fill=0.5,pow2"). gtest prints a
+/// struct without one as its raw bytes, padding included, and the ctest
+/// name is built from that text, so it would change from build to build.
+void PrintTo(const GenCase& c, std::ostream* out) {
+  *out << "gamma=1/" << std::lround(1.0 / c.gamma) << ",fill=" << c.fill
+       << (c.pow2 ? ",pow2" : "");
+}
 
 class GeneralGenProperties : public ::testing::TestWithParam<GenCase> {};
 

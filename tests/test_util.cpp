@@ -382,6 +382,29 @@ TEST(Args, MalformedNumbersThrow) {
   EXPECT_DOUBLE_EQ(args.get_double("huge", 0), 1e20);
 }
 
+TEST(Args, EveryAccessorRecordsItsRead) {
+  const char* argv[] = {"prog", "--s=x", "--i=1", "--r=2", "--d=0.5",
+                        "--b", "--h=", "stray"};
+  Args args(8, argv);
+  EXPECT_THROW(args.reject_unread(), std::invalid_argument);
+  (void)args.get("s");
+  (void)args.get_int("i", 0);
+  (void)args.get_int_in("r", 0, 0, 9);
+  (void)args.get_double("d", 0);
+  (void)args.get_bool("b", false);
+  (void)args.has("h");
+  // A flag read but absent is no error; the stray positional still is.
+  (void)args.get("absent");
+  try {
+    args.reject_unread();
+    FAIL() << "an unread positional passed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unexpected argument stray");
+  }
+  (void)args.positional();
+  EXPECT_NO_THROW(args.reject_unread());
+}
+
 TEST(Args, BoolValueForms) {
   const char* argv[] = {"prog", "--on=1", "--off=0", "--yes=yes"};
   Args args(4, argv);

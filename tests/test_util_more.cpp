@@ -1,4 +1,4 @@
-// Supplementary utility tests: Args::keys, CSV file round-trips, stats
+// Supplementary utility tests: Args::reject_unread, CSV file round-trips, stats
 // formatting, histogram edges, and RNG stream-independence properties.
 
 #include <gtest/gtest.h>
@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <fstream>
 #include <set>
+#include <stdexcept>
 
 #include "util/cli.hpp"
 #include "util/rng.hpp"
@@ -15,15 +16,22 @@
 namespace crmd::util {
 namespace {
 
-TEST(ArgsMore, KeysListsAllFlags) {
-  const char* argv[] = {"prog", "--b=2", "--a=1", "--flag"};
-  Args args(4, argv);
-  const auto keys = args.keys();
-  ASSERT_EQ(keys.size(), 3u);
-  // std::map ordering: sorted.
-  EXPECT_EQ(keys[0], "a");
-  EXPECT_EQ(keys[1], "b");
-  EXPECT_EQ(keys[2], "flag");
+TEST(ArgsMore, RejectUnreadNamesEveryUnreadFlag) {
+  const char* argv[] = {"prog", "--b=2", "--a=1", "--flag", "pos"};
+  Args args(5, argv);
+  EXPECT_EQ(args.get_int("b", 0), 2);
+  try {
+    args.reject_unread();
+    FAIL() << "an unread flag passed";
+  } catch (const std::invalid_argument& e) {
+    // One line, flags in sorted order, then the positional.
+    EXPECT_STREQ(e.what(),
+                 "unknown flags --a, --flag; unexpected argument pos");
+  }
+  EXPECT_TRUE(args.has("a"));
+  EXPECT_TRUE(args.get_bool("flag", false));
+  EXPECT_EQ(args.positional().size(), 1u);
+  EXPECT_NO_THROW(args.reject_unread());
 }
 
 TEST(ArgsMore, EmptyValue) {

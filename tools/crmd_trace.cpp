@@ -20,11 +20,12 @@
 //       event (index and slot) otherwise.
 //
 // Exit codes: 0 success / identical; 1 divergence or failed --strict;
-// 2 usage or unreadable input.
+// 2 usage, a flag the command does not take, or unreadable input.
 
 #include <exception>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -74,9 +75,15 @@ int cmd_summary(const std::string& path) {
 }
 
 int cmd_coverage(const std::string& path, const util::Args& args) {
+  const std::string protocol = args.get("protocol", "");
+  std::vector<obs::EventKind> required;
+  if (!parse_required(args.get("require", ""), required)) {
+    return 2;
+  }
+  const bool strict = args.has("strict");
+  args.reject_unread();
   const auto events = obs::load_trace_file(path);
   const obs::ProtocolTaxonomy* taxonomy = nullptr;
-  const std::string protocol = args.get("protocol", "");
   if (!protocol.empty()) {
     taxonomy = obs::taxonomy_for_protocol(protocol);
     if (taxonomy == nullptr) {
@@ -84,15 +91,11 @@ int cmd_coverage(const std::string& path, const util::Args& args) {
                 << "'; auditing channel-level kinds only)\n";
     }
   }
-  std::vector<obs::EventKind> required;
-  if (!parse_required(args.get("require", ""), required)) {
-    return 2;
-  }
   const obs::CoverageReport report =
       obs::audit_coverage(events, taxonomy, required);
   std::cout << "trace: " << path << "\n";
   obs::write_coverage(std::cout, report);
-  if (args.has("strict") && !report.missing_kinds.empty()) {
+  if (strict && !report.missing_kinds.empty()) {
     std::cerr << "crmd_trace: --strict: "
               << report.missing_kinds.size()
               << " expected/required kind(s) never fired\n";
@@ -153,14 +156,19 @@ int main(int argc, char** argv) {
   const std::string& command = pos[0];
   try {
     if (command == "summary" && pos.size() == 2) {
+      args.reject_unread();
       return cmd_summary(pos[1]);
     }
     if (command == "coverage" && pos.size() == 2) {
       return cmd_coverage(pos[1], args);
     }
     if (command == "diff" && pos.size() == 3) {
+      args.reject_unread();
       return cmd_diff(pos[1], pos[2]);
     }
+  } catch (const std::invalid_argument& e) {  // a flag the command does not take
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "crmd_trace: " << e.what() << "\n";
     return 2;
