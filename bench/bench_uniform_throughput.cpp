@@ -20,7 +20,8 @@ int main(int argc, char** argv) {
   const auto common = bench::parse_common(args, /*default_reps=*/10);
 
   core::Params params;
-  params.uniform_attempts = bench::int_flag(args, "attempts", 1, 1);
+  params.uniform_attempts = bench::int_flag(args, "attempts", 1, 1,
+                                            core::Params::kMaxUniformAttempts);
   const auto factory = core::make_uniform_factory(params);
 
   const std::vector<double> gammas{1.0 / 8, 1.0 / 12, 1.0 / 24};

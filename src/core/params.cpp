@@ -89,8 +89,8 @@ void Params::validate() const {
   if (!(max_tx_prob > 0.0 && max_tx_prob <= 0.5)) {
     throw std::invalid_argument("Params: max_tx_prob must be in (0, 0.5]");
   }
-  if (uniform_attempts < 1) {
-    throw std::invalid_argument("Params: uniform_attempts must be >= 1");
+  if (uniform_attempts < 1 || uniform_attempts > kMaxUniformAttempts) {
+    throw std::invalid_argument("Params: uniform_attempts must be in [1, 4]");
   }
   if (tau < 1 || !util::is_pow2(tau)) {
     throw std::invalid_argument("Params: tau must be a positive power of 2");

@@ -35,8 +35,10 @@ struct Params {
   // --- UNIFORM (§2) ---------------------------------------------------------
 
   /// Number of uniformly random slots each UNIFORM job transmits in (the
-  /// paper's Θ(1)).
+  /// paper's Θ(1)), at most kMaxUniformAttempts.
   int uniform_attempts = 1;
+  /// UNIFORM holds its attempt offsets inline, in an array of this size.
+  static constexpr int kMaxUniformAttempts = 4;
 
   // --- ALIGNED (§3) ---------------------------------------------------------
 

@@ -3,11 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <stdexcept>
+#include <thread>
+#include <utility>
+#include <vector>
 
+#include "util/arena.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -15,6 +21,63 @@
 
 namespace crmd::util {
 namespace {
+
+/// The addresses a fresh arena hands out for a fixed request sequence that
+/// spans its first four blocks (16, 32, 64 and 128 KiB).
+std::vector<void*> fill(MonotonicArena& arena) {
+  std::vector<void*> out;
+  for (int k = 0; k < 200; ++k) {
+    out.push_back(arena.allocate(1000, 8));
+  }
+  return out;
+}
+
+// A dying arena hands its blocks to its thread's cache: the next arena on
+// that thread grows into the same blocks, an arena on another thread does
+// not, and a moved-from arena leaves the cache as it was.
+TEST(Arena, DeadArenasBlocksServeTheNextArenaOnTheirThread) {
+  std::vector<void*> first;
+  {
+    MonotonicArena arena;
+    first = fill(arena);
+  }
+  // Heap blocks of the same sizes, held while the next arena grows: the
+  // allocator may hand a freed block's address straight back, so only a
+  // cache that still owns `first`'s blocks makes the match below certain.
+  std::vector<std::unique_ptr<std::byte[]>> decoys;
+  for (const unsigned kib : {16u, 32u, 64u, 128u}) {
+    decoys.push_back(std::make_unique<std::byte[]>(std::size_t{kib} << 10));
+  }
+  std::vector<void*> second;
+  {
+    MonotonicArena arena;
+    second = fill(arena);
+    EXPECT_EQ(second, first);
+  }
+  std::vector<void*> elsewhere;
+  std::thread([&elsewhere] {
+    MonotonicArena arena;
+    elsewhere = fill(arena);
+  }).join();
+  // This thread's cache still owns `first`'s blocks, so no allocation on
+  // the other thread can have landed in them.
+  ASSERT_EQ(elsewhere.size(), first.size());
+  for (void* p : elsewhere) {
+    EXPECT_EQ(std::find(first.begin(), first.end(), p), first.end());
+  }
+  // An arena whose block sizes (3000 B doubling) match none in the cache
+  // takes nothing from it; once moved from, its death must leave the
+  // cache holding `first`'s blocks.
+  {
+    auto source = std::make_unique<MonotonicArena>(3000);
+    fill(*source);
+    const MonotonicArena target(std::move(*source));
+    EXPECT_EQ(source->bytes_reserved(), 0u);
+    source.reset();
+    MonotonicArena again;
+    EXPECT_EQ(fill(again), first);
+  }
+}
 
 TEST(ArgsMore, RejectUnreadNamesEveryUnreadFlag) {
   const char* argv[] = {"prog", "--b=2", "--a=1", "--flag", "pos"};
