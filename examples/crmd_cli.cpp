@@ -39,7 +39,8 @@ namespace {
 
 using namespace crmd;
 
-int usage() {
+/// Prints the flag summary to stdout.
+void print_usage() {
   std::cout
       << "usage: crmd_cli --protocol=NAME --workload=KIND [options]\n"
          "  --list                 list protocols and exit\n"
@@ -112,7 +113,6 @@ int usage() {
          "every --threads)\n"
          "  --metrics=PATH         save a metrics-registry snapshot "
          "(JSON)\n";
-  return 2;
 }
 
 /// Warns when a tracer lost events (sinks detached mid-run / emit after
@@ -154,8 +154,13 @@ int run_cli(int argc, char** argv) {
   }
   const std::string protocol = args.get("protocol", "");
   const std::string workload = args.get("workload", "");
+  // Every refusal below is one `error:` line on stderr and exit 2 (main);
+  // a call missing a required flag also gets the flag summary on stdout.
   if (protocol.empty() || (workload.empty() && !args.has("arrivals"))) {
-    return usage();
+    print_usage();
+    throw std::invalid_argument(protocol.empty()
+                                    ? "missing --protocol=NAME"
+                                    : "missing --workload=KIND");
   }
 
   core::Params params;
@@ -172,8 +177,8 @@ int run_cli(int argc, char** argv) {
       args.get_int("energy-carrier-sense",
                    params.energy_listen_after_failure ? 1 : 0) != 0;
   if (!core::is_protocol(protocol)) {
-    std::cerr << "unknown protocol '" << protocol << "' (try --list)\n";
-    return 2;
+    throw std::invalid_argument("unknown protocol '" + protocol +
+                                "' (try --list)");
   }
 
   const double gamma = args.get_double("gamma", 1.0 / 32);
@@ -246,7 +251,9 @@ int run_cli(int argc, char** argv) {
       return workload::gen_periodic(flows, horizon);
     };
   } else {
-    return usage();
+    throw std::invalid_argument(
+        "unknown workload '" + workload +
+        "' (aligned, general, batch, starvation or periodic)");
   }
 
   const int reps = static_cast<int>(
