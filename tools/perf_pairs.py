@@ -7,8 +7,8 @@ Usage, from anywhere inside a checkout:
         [--workloads W ...] [--seed SEED] [--json PATH]
     python3 tools/perf_pairs.py --selftest
 
-The first form checks REV out in a temporary detached git worktree, then
-runs `python3 <tree>/perfbench/run.py --workload W --seed SEED --seconds S
+The first form extracts REV into a temporary directory (`git archive`),
+then runs `python3 <tree>/perfbench/run.py --workload W --seed SEED --seconds S
 --trace 0` N times in each tree (SEED is 1 unless --seed is given),
 alternating between the two: pair i runs REV first when i is even and the
 work tree first when it is odd, so a drift of the host over time lands on
@@ -17,22 +17,28 @@ builds both.
 
 For every workload and every end-to-end metric named in BENCHMARK.json it
 prints the median [interquartile range] of REV's runs and of the work
-tree's, the change of the medians and the pairs in which the work tree was
-better (by the metric's "better" direction). --json also saves every run's
-value. The exit status is 1 when any run reports `correct: false` or
-`failed > 0`, 2 on a usage or run error, else 0. The worktree is removed
-afterwards in every case.
+tree's, the change of the medians, the pairs in which the work tree was
+better (by the metric's "better" direction) and the exact one-sided
+sign-test p-value of that many wins: the chance of at least as many under
+a fair coin, over the pairs that are not ties. --json also saves every
+run's value and the p-values. The exit status is 1 when any run reports
+`correct: false` or `failed > 0`, 2 on a usage or run error, else 0. The
+extracted tree is removed afterwards in every case.
 
---selftest checks the median, quartile and wins helpers on fixed numbers.
+--selftest checks the median, quartile, wins and sign-test helpers on fixed
+numbers.
 """
 
 import argparse
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+import tarfile
 import tempfile
+from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -64,6 +70,18 @@ def wins(base, change, better):
     return sum(1 for b, c in zip(base, change) if c > b)
 
 
+def losses(base, change, better):
+    """Pairs in which `change` is worse than `base`."""
+    return wins(change, base, better)
+
+
+def sign_p(won, lost):
+    """Exact one-sided sign-test p-value: P(X >= won) for X ~ Bin(n, 1/2),
+    n = won + lost (ties dropped). 1 when every pair is a tie."""
+    n = won + lost
+    return Fraction(sum(math.comb(n, k) for k in range(won, n + 1)), 2 ** n)
+
+
 def selftest():
     values = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]
     median, q1, q3 = summarize(values)
@@ -76,6 +94,12 @@ def selftest():
     change = [0.5, 2.0, 3.5, 3.0]
     assert wins(base, change, "lower") == 2
     assert wins(base, change, "higher") == 1
+    assert losses(base, change, "lower") == 1
+    assert sign_p(8, 2) == Fraction(56, 1024), sign_p(8, 2)
+    assert sign_p(10, 0) == Fraction(1, 1024)
+    assert sign_p(9, 1) == Fraction(11, 1024)
+    assert sign_p(0, 4) == 1
+    assert sign_p(0, 0) == 1
     print("perf_pairs selftest: ok")
 
 
@@ -125,6 +149,7 @@ def measure(base_tree, args, contract):
             change = [m[name]["value"] for m in runs["change"]]
             base_med, base_q1, base_q3 = summarize(base)
             change_med, change_q1, change_q3 = summarize(change)
+            won = wins(base, change, metric["better"])
             rows[name] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
@@ -135,7 +160,9 @@ def measure(base_tree, args, contract):
                 "change_median": change_med,
                 "change_iqr": change_q3 - change_q1,
                 "delta": (change_med / base_med - 1.0) if base_med else 0.0,
-                "wins": wins(base, change, metric["better"]),
+                "wins": won,
+                "sign_p": float(sign_p(won,
+                                       losses(base, change, metric["better"]))),
             }
         report[workload] = rows
     return report, correct
@@ -148,10 +175,10 @@ def print_report(report, against, pairs, seed):
         print(workload)
         for name, r in rows.items():
             print("  %-16s %-6s base %.6g [%.3g]  change %.6g [%.3g]  "
-                  "%+.1f%%  wins %d/%d (%s is better)" %
+                  "%+.1f%%  wins %d/%d p=%.4f (%s is better)" %
                   (name, r["unit"], r["base_median"], r["base_iqr"],
                    r["change_median"], r["change_iqr"], 100 * r["delta"],
-                   r["wins"], pairs, r["better"]))
+                   r["wins"], pairs, r["sign_p"], r["better"]))
 
 
 def main():
@@ -190,18 +217,19 @@ def main():
 
     scratch = tempfile.mkdtemp(prefix="perf_pairs-")
     base_tree = os.path.join(scratch, "base")
-    added = git("worktree", "add", "--detach", base_tree, args.against)
+    archive = os.path.join(scratch, "base.tar")
     try:
-        if added.returncode != 0:
-            die("git worktree add failed: " + added.stderr.strip())
+        done = git("archive", "--format=tar", "-o", archive, args.against)
+        if done.returncode != 0:
+            die("git archive failed: " + done.stderr.strip())
+        with tarfile.open(archive) as tar:
+            tar.extractall(base_tree, filter="data")
         try:
             report, correct = measure(base_tree, args, contract)
         except RuntimeError as e:
             die(str(e))
     finally:
-        git("worktree", "remove", "--force", base_tree)
         shutil.rmtree(scratch, ignore_errors=True)
-        git("worktree", "prune")
 
     print_report(report, args.against, args.pairs, args.seed)
     if args.json:
