@@ -9,20 +9,27 @@
 
 namespace crmd::core::nocd {
 
+static_assert(sizeof(NocdProtocol) <= 192);
+
 NocdProtocol::NocdProtocol(const Params& params, bool robust, util::Rng rng)
-    : params_(params), robust_(robust), rng_(rng) {}
+    : max_tx_prob_(params.max_tx_prob),
+      epoch_len_(params.nocd_epoch_len),
+      lambda_(params.lambda),
+      dry_sweep_limit_(params.nocd_dry_sweep_limit),
+      rng_(rng),
+      robust_(robust) {}
 
 void NocdProtocol::on_activate(const sim::JobInfo& info) {
   info_ = info;
   ack_mode_ = !info.caps.listener_success_visible;
   k_max_ = std::max(1, util::ceil_log2(std::max<Slot>(1, info.window())));
+  sweep_len_ = epoch_len_ * static_cast<Slot>(k_max_ + 1);
   // Conservative start: believed contention ~w (one job per slot of the
   // window could be waiting). At saturation (n = w/2) this is within a
   // factor 2 of the truth; at low contention the dry-epoch sweep walks the
   // exponent down in O(log w) epochs.
-  k_init_ = k_max_;
-  k_ = k_init_;
-  base_p_ = std::min(std::exp2(-k_), params_.max_tx_prob);
+  k_ = k_max_;
+  base_p_ = std::min(std::exp2(-k_), max_tx_prob_);
   // Stagger the epoch phase per job (one activation-time draw, identical
   // across feedback models). Without it every job shares the same epoch
   // boundaries AND the same perceived successes, so the whole population
@@ -32,7 +39,7 @@ void NocdProtocol::on_activate(const sim::JobInfo& info) {
   // and spread over neighboring exponents, so some density is always
   // probing near the truth.
   epoch_slot_ = static_cast<std::int64_t>(
-      rng_.below(static_cast<std::uint64_t>(params_.nocd_epoch_len)));
+      rng_.below(static_cast<std::uint64_t>(epoch_len_)));
 }
 
 void NocdProtocol::set_exponent(int next, Slot global_slot) {
@@ -42,7 +49,7 @@ void NocdProtocol::set_exponent(int next, Slot global_slot) {
   CRMD_TRACE(obs_, obs::EventKind::kEstimate, global_slot, info_.id, k_,
              next);
   k_ = next;
-  base_p_ = std::min(std::exp2(-k_), params_.max_tx_prob);
+  base_p_ = std::min(std::exp2(-k_), max_tx_prob_);
 }
 
 void NocdProtocol::end_epoch(Slot global_slot) {
@@ -74,7 +81,7 @@ void NocdProtocol::end_epoch(Slot global_slot) {
       dry_streak_ = 0;
       if (robust_) {
         ++dry_sweeps_;
-        if (dry_sweeps_ >= params_.nocd_dry_sweep_limit) {
+        if (dry_sweeps_ >= dry_sweep_limit_) {
           // Unexplained silence has persisted past tolerance: the channel
           // was jammed silent, or it emptied without us hearing the
           // drain. Probe by halving the exponent — escalating toward
