@@ -61,11 +61,12 @@
 ///     into a listener view and a transmitter view (channel.hpp).
 /// 10. Feedback: each live job that is neither parked nor dark observes its
 ///     own channel, in live order: the transmitter view if it transmitted
-///     on a channel whose views differ (and did not win a capture), else
-///     the listener view. The fault injector then filters it per listener
-///     with the job's fault state, and a job that declared sleep hears
-///     silence whatever the channel did. Dark status and skew are read
-///     from the fault state as in step 8; nothing changes them in between.
+///     (and did not win a capture), else the listener view; where a model
+///     gives transmitters nothing different the two are equal. The fault
+///     injector then filters it per listener with the job's fault state,
+///     and a job that declared sleep hears silence whatever the channel
+///     did. Dark status and skew are read from the fault state as in
+///     step 8; nothing changes them in between.
 /// 11. Records: one SlotRecord per channel feeds SimMetrics and the
 ///     SlotObserver. The slot's fault count goes to channel 0.
 /// 12. Migration (with MultiChannelConfig::migrate): a transmitter on a
