@@ -1,9 +1,8 @@
 // Mega-scale slot-engine harness: timeline slots/sec with the event-driven
 // fast-forward engine, streaming arrivals, and multi-channel sharding
 // (DESIGN.md §6j). Like bench_slot_engine this reproduces no paper claim —
-// it is the perf gate for the mega-scale machinery, read against the
-// committed bench/baselines/megascale.json and (blocking, same machine)
-// against a bench_slot_engine run via
+// it is the perf gate for the mega-scale machinery, read (blocking, same
+// machine) against a bench_slot_engine run via
 //   tools/check_perf.py mega.json --speedup-over slot.json \
 //       --speedup-factor 10 --speedup-match sparse/ --speedup-match idle/
 //

@@ -2,8 +2,8 @@
 // counts and protocol families. This is the regression gate for the
 // data-oriented engine rebuild (DESIGN.md §6e) — unlike the experiment
 // harnesses it reproduces no paper claim; it exists so BENCH_*.json keeps a
-// perf trajectory and `tools/check_perf.py` can flag slowdowns against
-// `bench/baselines/slot_engine.json`.
+// perf trajectory and `tools/check_perf.py --self-check` can flag a
+// collapse between two runs on one machine.
 //
 // Sweep points are chosen to hit the engine's distinct cost regimes:
 //   burst/uniform    — n jobs live at once; the raw decision-loop rate.
@@ -20,7 +20,7 @@
 // in the table (this harness is about time); use --reps to average.
 // --fast-forward applies to every scenario (faults keep stagger/faults slot
 // by slot regardless); the default off keeps the rows comparable with
-// bench/baselines/slot_engine.json.
+// earlier runs of this harness.
 
 #include <chrono>
 #include <cstdint>

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare a bench_slot_engine --json result against a committed baseline.
+"""Check a crmd bench --json result: its shape, and same-machine gates.
 
 The slot-engine harness (bench/bench_slot_engine.cpp) emits the shape every
 crmd bench does: {"meta": {...}, "rows": [{...}, ...]} with string-valued
@@ -20,19 +20,6 @@ Every mode also honors repeatable --expect SUBSTR flags: each SUBSTR must
 match at least one scenario key in the current file, so a sweep that
 silently drops a point (a skipped protocol x feedback-model cell, a
 renamed scenario) fails loudly instead of sailing through shape checks.
-
-  check_perf.py result.json [--baseline bench/baselines/slot_engine.json]
-                            [--threshold 0.35]
-      For every sweep point present in both files, compute
-      ratio = current / baseline slots_per_sec and fail (exit 1) when any
-      ratio falls below the threshold. The default threshold is generous on
-      purpose: CI machines differ wildly from the machine that produced the
-      baseline, so this catches order-of-magnitude regressions (an
-      accidental O(total jobs) slot cost), not few-percent drift. Track
-      drift by diffing the uploaded JSON artifacts across runs instead.
-      A candidate column missing from a shared baseline row fails loudly
-      ("column X missing in baseline row N") — the baseline predates a
-      schema change and must be regenerated.
 
   check_perf.py second.json --self-check first.json [--threshold 0.65]
       Self-relative gate: both files come from the SAME machine in the
@@ -59,7 +46,12 @@ live_peak must be non-negative ints, shards a positive int. Repeatable
 --require-meta KEY flags make a meta key's absence an error (exit 1) —
 use them to pin that a harness actually stamps its provenance.
 
-Exit codes: 0 ok, 1 regression or malformed input, 2 usage error.
+There is no comparison against a result from another machine: a
+regression of the benchmark is measured on one host by
+tools/perf_pairs.py, which alternates runs of two revisions.
+
+Exit codes: 0 ok, 1 regression or malformed input, 2 usage error (also
+when no mode is given).
 """
 
 import argparse
@@ -275,7 +267,7 @@ def run_speedup_gate(args, current):
 
 def run_self_check(args, current):
     """Blocking same-machine comparison; see the module docstring."""
-    threshold = 0.65 if args.threshold is None else args.threshold
+    threshold = args.threshold
     if threshold <= 0:
         print("check_perf: --threshold must be > 0", file=sys.stderr)
         return 2
@@ -315,22 +307,19 @@ def run_self_check(args, current):
 
 def main():
     parser = argparse.ArgumentParser(
-        description="slot-engine perf comparator (see module docstring)")
-    parser.add_argument("current", help="bench_slot_engine --json output")
-    parser.add_argument("--baseline",
-                        default="bench/baselines/slot_engine.json")
-    parser.add_argument("--threshold", type=float, default=None,
-                        help="fail when current/baseline slots_per_sec "
-                             "drops below this ratio (default: 0.35, or "
-                             "0.65 with --self-check)")
+        description="bench JSON checker (see module docstring)")
+    parser.add_argument("current", help="a crmd bench --json output")
+    parser.add_argument("--threshold", type=float, default=0.65,
+                        help="--self-check fails when second/first "
+                             "slots_per_sec drops below this ratio "
+                             "(default: 0.65)")
     parser.add_argument("--check-only", action="store_true",
                         help="validate the JSON shape only; no comparison")
     parser.add_argument("--self-check", metavar="FIRST_RUN",
                         help="blocking same-machine gate: compare against "
                              "FIRST_RUN (an earlier run of the same harness "
                              "in the same job); every FIRST_RUN point must "
-                             "be present and within --threshold "
-                             "(default 0.65 in this mode)")
+                             "be present and within --threshold")
     parser.add_argument("--expect", action="append", default=[],
                         metavar="SUBSTR",
                         help="require >= 1 scenario key containing SUBSTR "
@@ -400,60 +389,9 @@ def main():
 
     if args.self_check:
         return run_self_check(args, current)
-
-    try:
-        _, baseline = load_rows(args.baseline)
-    except (OSError, ValueError, json.JSONDecodeError) as e:
-        print(f"check_perf: FAIL: {e}", file=sys.stderr)
-        return 1
-
-    threshold = 0.35 if args.threshold is None else args.threshold
-    if threshold <= 0:
-        print("check_perf: --threshold must be > 0", file=sys.stderr)
-        return 2
-
-    shared = sorted(set(current) & set(baseline))
-    if not shared:
-        print("check_perf: FAIL: no sweep points shared with the baseline",
-              file=sys.stderr)
-        return 1
-
-    # Column consistency: a candidate column absent from the baseline row
-    # means the baseline predates a schema change and must be regenerated —
-    # fail with the column and row instead of a KeyError downstream.
-    for key in shared:
-        stale = [c for c in current[key] if c not in baseline[key]]
-        if stale:
-            print(f"check_perf: FAIL: column {stale[0]} missing in baseline "
-                  f"row {baseline[key]['__row__']} ({key[0]}) — regenerate "
-                  f"the baseline JSON", file=sys.stderr)
-            return 1
-
-    failures = []
-    print(f"{'scenario':<18} {'jobs':>6} {'baseline':>12} {'current':>12} "
-          f"{'ratio':>7}")
-    for key in shared:
-        base = float(baseline[key]["slots_per_sec"])
-        cur = float(current[key]["slots_per_sec"])
-        ratio = cur / base
-        flag = "" if ratio >= threshold else "  << REGRESSION"
-        print(f"{key[0]:<18} {key[1]:>6} {base:>12.4g} {cur:>12.4g} "
-              f"{ratio:>7.2f}{flag}")
-        if ratio < threshold:
-            failures.append((key, ratio))
-
-    only_current = sorted(set(current) - set(baseline))
-    if only_current:
-        print(f"check_perf: note: {len(only_current)} sweep point(s) not in "
-              f"baseline (new points are fine): {only_current}")
-
-    if failures:
-        print(f"check_perf: FAIL: {len(failures)} point(s) below "
-              f"{threshold}x of baseline", file=sys.stderr)
-        return 1
-    print(f"check_perf: ok: {len(shared)} points >= {threshold}x of "
-          f"baseline")
-    return 0
+    print("check_perf: need --check-only, --self-check FIRST_RUN or "
+          "--speedup-over REFERENCE", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":
