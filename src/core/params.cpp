@@ -74,12 +74,6 @@ double Params::degraded_floor_tx_prob(Slot window,
   return std::min(p, max_tx_prob);
 }
 
-double Params::nocd_floor_tx_prob(Slot remaining) const noexcept {
-  const double p = static_cast<double>(lambda) /
-                   static_cast<double>(std::max<Slot>(1, remaining));
-  return std::min(p, max_tx_prob);
-}
-
 void Params::validate() const {
   if (lambda < 1) {
     throw std::invalid_argument("Params: lambda must be >= 1");

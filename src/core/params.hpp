@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "util/types.hpp"
@@ -181,14 +182,21 @@ struct Params {
   [[nodiscard]] double degraded_floor_tx_prob(Slot window,
                                               Slot remaining) const noexcept;
 
-  /// NOCD's aging floor: keeps every live job at expected Θ(λ) floor
-  /// transmissions over its remaining laxity (λ / remaining, capped), so
-  /// the robust variant never stalls however wrong its contention
-  /// estimate is driven by jamming.
-  [[nodiscard]] double nocd_floor_tx_prob(Slot remaining) const noexcept;
-
   /// Throws std::invalid_argument when any field is out of range.
   void validate() const;
 };
+
+/// NOCD's aging floor: keeps every live job at expected Θ(λ) floor
+/// transmissions over its remaining laxity (λ / remaining, capped at
+/// `max_tx_prob`), so the robust variant never stalls however wrong its
+/// contention estimate is driven by jamming. Inline, and taking the two
+/// fields rather than a Params, because NOCD evaluates it in every endgame
+/// slot from its own copies of them.
+[[nodiscard]] inline double nocd_floor_tx_prob(int lambda, double max_tx_prob,
+                                               Slot remaining) noexcept {
+  return std::min(static_cast<double>(lambda) /
+                      static_cast<double>(std::max<Slot>(1, remaining)),
+                  max_tx_prob);
+}
 
 }  // namespace crmd::core

@@ -282,7 +282,9 @@ double reference_nocd_prob(const Params& params,
   double p = base;
   if (proto.robust() &&
       remaining <= params.nocd_epoch_len * (proto.max_exponent() + 1)) {
-    p = std::max(p, std::min(params.nocd_floor_tx_prob(remaining), 4 * base));
+    const double aging =
+        nocd_floor_tx_prob(params.lambda, params.max_tx_prob, remaining);
+    p = std::max(p, std::min(aging, 4 * base));
   }
   return p;
 }
