@@ -184,6 +184,8 @@ struct Params {
 
   /// Throws std::invalid_argument when any field is out of range.
   void validate() const;
+
+  friend bool operator==(const Params&, const Params&) = default;
 };
 
 /// NOCD's aging floor: keeps every live job at expected Θ(λ) floor

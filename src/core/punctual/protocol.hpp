@@ -69,6 +69,9 @@ class PunctualProtocol final : public sim::Protocol {
   }
   /// The job's round/leader clock.
   [[nodiscard]] const RoundClock& clock() const noexcept { return clock_; }
+  /// Role of the slot in which on_slot last took the synced path (a stage
+  /// on the round grid); the feedback of that slot reads it back.
+  [[nodiscard]] SlotType slot_type() const noexcept { return slot_type_; }
   /// Effective window (original, or halved by the recheck rule).
   [[nodiscard]] Slot effective_window() const noexcept {
     return effective_window_;
@@ -159,6 +162,8 @@ class PunctualProtocol final : public sim::Protocol {
   // Last transmission bookkeeping.
   bool transmitted_ = false;
   sim::MessageKind last_tx_kind_ = sim::MessageKind::kData;
+  /// clock_.type of the slot act_synced last acted in (see slot_type()).
+  SlotType slot_type_ = SlotType::kSync;
 
   // Sync-listen state.
   std::int64_t listen_slots_ = 0;
@@ -228,7 +233,8 @@ inline sim::SlotAction PunctualProtocol::on_slot(const sim::SlotView& view) {
 
 inline sim::SlotAction PunctualProtocol::act_synced(Slot t) {
   sim::SlotAction action;
-  switch (clock_.type(t)) {
+  slot_type_ = clock_.type(t);
+  switch (slot_type_) {
     case SlotType::kSync:
       // Every synced job re-broadcasts the round marker (§4); the resulting
       // collision is the point.
@@ -310,7 +316,12 @@ inline void PunctualProtocol::on_feedback(const sim::SlotView& view,
 
 inline void PunctualProtocol::handle_synced_feedback(
     Slot t, const sim::SlotFeedback& fb) {
-  const SlotType type = clock_.type(t);
+  // The role act_synced found for this slot: a job in a synced stage here
+  // was in one at on_slot too (only settle_own_tx ran in between, and it
+  // returns true whenever it moves the stage), and nothing in between
+  // moves the clock. tests/test_punctual_units.cpp checks the reuse on the
+  // sync, announce, skew and desync paths.
+  const SlotType type = slot_type_;
 
   // Desync evidence: a busy slot where we believe the frame keeps a guard.
   // Under a correct, shared round grid guard slots stay silent, so noise

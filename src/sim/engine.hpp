@@ -121,6 +121,9 @@ struct Engine {
 
   /// Capabilities stamped into every JobInfo (derived once from the model).
   ChannelCaps caps;
+  /// The run's shared state (JobInfo::run); null unless the run has a
+  /// common view (SimConfig::common_view).
+  std::unique_ptr<RunState> run_state;
   std::unique_ptr<FaultInjector> injector;  // null when the plan is empty
 
   // --- Per-job state (structure-of-arrays, indexed by ix(id)). ---
@@ -131,21 +134,23 @@ struct Engine {
   std::vector<std::uint32_t> live_pos;  // index into `live`; valid while live
   std::vector<Slot> success_slot;       // kNoSlot until credited
   // Per-job counters bumped in the decision loop; folded into the job's
-  // JobResult once, when it leaves the run.
-  std::vector<std::int64_t> live_slot_count;
+  // JobResult once, when it leaves the run. Its live slots need no
+  // counter: a live job ticks, or is parked, in every slot from its
+  // release until it leaves (fold).
   std::vector<std::int64_t> dark_slot_count;
   std::vector<std::int64_t> tx_count;
   // Radio-energy accounting (DESIGN.md §6k): slots spent listening (awake
-  // without transmitting). Sleep slots are the remainder of live_slot_count;
+  // without transmitting). Sleep slots are the rest of the live slots;
   // parked jobs and fast-forwarded spans add nothing here — a dormant span
   // is exactly a sleep span, so those slots batch-account zero awake slots,
   // which is what makes the energy counters bit-identical across
   // --fast-forward modes.
   std::vector<std::int64_t> listen_count;
   // Last observed radio state (1 = awake) per job, for kRadioSleep /
-  // kRadioWake transition events. Jobs activate awake (radio on at
-  // power-up); parking puts a job to sleep at the slot it parks, exactly
-  // where slot-by-slot simulation would.
+  // kRadioWake transition events, so read and written only when a tracer
+  // is attached. Jobs activate awake (radio on at power-up); parking puts
+  // a job to sleep at the slot it parks, exactly where slot-by-slot
+  // simulation would.
   std::vector<std::uint8_t> prev_awake;
   // Each job's channel (all zeros when k = 1) and collision count (read
   // only by migration).
@@ -156,7 +161,8 @@ struct Engine {
   // decision and feedback loops skip it. ff_prob is the promised
   // constant probability of a parked job and this slot's declaration of an
   // awake one, so the two together give every live job's contribution to
-  // the slot's contention without a virtual call.
+  // the slot's contention without a virtual call. Only fast-forward reads
+  // ff_prob, so only a run that may park stores it.
   std::vector<Slot> ff_until;
   std::vector<double> ff_prob;
   // Each job's fault state (faults.hpp): its fault stream, skew and
@@ -256,7 +262,6 @@ struct Engine {
     f(live_flag);
     f(live_pos);
     f(success_slot);
-    f(live_slot_count);
     f(dark_slot_count);
     f(tx_count);
     f(listen_count);
@@ -306,9 +311,13 @@ struct Engine {
     }
   }
 
-  // Folds job i as it leaves the run, retired or cut by the horizon: its
-  // per-job counters are final once it is no longer live.
-  void fold(std::size_t i) {
+  // Folds job i as it leaves the run, retired or cut by the horizon, before
+  // slot `left`: its per-job counters are final once it is no longer live.
+  // It was live in every slot of [release, left) — activated at its
+  // release, it ticks or is parked in each slot until it leaves — so
+  // `left` is `now` for a job leaving before the slot pipeline (deadline,
+  // crash, horizon) and `now + 1` for one leaving in its credit pass.
+  void fold(std::size_t i, Slot left) {
     JobResult r;
     r.id = base_id + static_cast<JobId>(i);
     r.release = release[i];
@@ -316,13 +325,14 @@ struct Engine {
     r.success = success_slot[i] != kNoSlot;
     r.success_slot = success_slot[i];
     r.transmissions = tx_count[i];
-    r.live_slots = live_slot_count[i];
+    r.live_slots = left - release[i];
     r.dark_slots = dark_slot_count[i];
     r.listen_slots = listen_count[i];
     record(r);
   }
 
-  void retire(JobId id) {
+  // Removes live job `id` before slot `left` (see fold).
+  void retire(JobId id, Slot left) {
     const std::size_t i = ix(id);
     if (live_flag[i] == 0) {
       return;
@@ -337,7 +347,7 @@ struct Engine {
     live[pos] = moved;
     live_pos[ix(moved)] = pos;
     live.pop_back();
-    fold(i);
+    fold(i, left);
     if (i == dead_prefix) {
       maybe_compact();  // the dead prefix grew
     }
@@ -378,6 +388,7 @@ struct Engine {
     info.release = spec.release;
     info.deadline = spec.deadline;
     info.caps = caps;
+    info.run = run_state.get();
     Protocol* p = arena_owned
                       ? factory.emplace(info, master.child(id + 1), arena)
                       : factory(info, master.child(id + 1)).release();
@@ -392,7 +403,6 @@ struct Engine {
     if (parked > 0) {
       awake_jobs.push_back(id);
     }
-    live_slot_count.push_back(0);
     dark_slot_count.push_back(0);
     tx_count.push_back(0);
     listen_count.push_back(0);
@@ -430,17 +440,14 @@ struct Engine {
     dead_prefix = 0;
   }
 
-  // Parks job `id` (index i) on the dormancy promise `span` made at `now`.
-  // Its live-slot counter is credited the whole park up front — the job
-  // wakes exactly at its heap key — and finish() takes back any part past
-  // the end of the run. A radio that was on goes to sleep here, the slot
-  // where slot-by-slot simulation would emit the transition.
+  // Parks job `id` (index i) on the dormancy promise `span` made at `now`;
+  // it wakes exactly at its heap key. A radio that was on goes to sleep
+  // here, the slot where slot-by-slot simulation would emit the
+  // transition.
   void park(JobId id, std::size_t i, const DormantSpan& span) {
     ff_until[i] = now + span.slots;
     ff_prob[i] = span.prob;
-    const Slot wake = std::min(ff_until[i], deadline[i]);
-    live_slot_count[i] += wake - now;
-    wake_heap.push(wake, id);
+    wake_heap.push(std::min(ff_until[i], deadline[i]), id);
     ++parked;
     const std::uint64_t units = exact_units(span.prob);
     if (units == kInexact) {
@@ -448,7 +455,7 @@ struct Engine {
     } else {
       parked_units += units;
     }
-    if (prev_awake[i] != 0) {
+    if (config.tracer != nullptr && prev_awake[i] != 0) {
       CRMD_TRACE(config.tracer, obs::EventKind::kRadioSleep, now, id,
                  now - release[i], 0, 0.0, "sleep");
       prev_awake[i] = 0;
@@ -625,10 +632,9 @@ struct Engine {
     }
     // Account the skipped slots exactly as if simulated: every one is a
     // silent slot with the promised constant contention and the current
-    // live set. Live-slot counters were credited at park time, and a
-    // dormant span is exactly a sleep span (DESIGN.md §6k), so the skipped
-    // slots add zero awake/listen/transmit job-slots — the same zero the
-    // slot-by-slot engine would tally.
+    // live set. A dormant span is exactly a sleep span (DESIGN.md §6k), so
+    // the skipped slots add zero awake/listen/transmit job-slots — the same
+    // zero the slot-by-slot engine would tally.
     metrics.slots_simulated += span;
     metrics.silent_slots += span;
     metrics.fast_forward_slots += span;
@@ -641,17 +647,6 @@ struct Engine {
                "idle-skip");
     now += span;
     return true;
-  }
-
-  // End of run: takes back the credit of parks that reach past it.
-  void settle_parked() {
-    for (const JobId id : live) {
-      const std::size_t i = ix(id);
-      if (ff_until[i] > now) {
-        live_slot_count[i] -= std::min(ff_until[i], deadline[i]) - now;
-        ff_until[i] = now;
-      }
-    }
   }
 
   // Channel resolution, physics and feedback projection of one channel
@@ -701,6 +696,9 @@ struct Engine {
     pipeline = factory.pipeline() != nullptr ? factory.pipeline()
                                              : &step_slot<Protocol>;
     arena_owned = batch && factory.arena_aware();
+    if (config.common_view()) {
+      run_state = std::make_unique<RunState>();
+    }
     arrivals = std::move(process);
     horizon = run_horizon;
     pull_next();
@@ -745,7 +743,6 @@ void step_slot(Engine& s, std::int64_t faults_before) {
   std::int64_t listen_this_slot = 0;
   for (const JobId id : ticking) {
     const std::size_t i = s.ix(id);
-    ++s.live_slot_count[i];
     const std::size_t c = multi ? s.chan[i] : 0;
     Channel& ch = s.chans[c];
     ++ch.live;
@@ -762,11 +759,13 @@ void step_slot(Engine& s, std::int64_t faults_before) {
                   /*global_slot=*/s.now + skew};
     const SlotAction action = static_cast<P*>(s.proto[i])->on_slot(view);
     ch.contention += action.declared_prob;
-    s.ff_prob[i] = action.declared_prob;
+    if (s.ff_enabled) {
+      s.ff_prob[i] = action.declared_prob;
+    }
     const bool awake = action.transmit || !action.sleep;
     s.radio[i] = awake ? static_cast<std::uint8_t>(action.transmit)
                        : Engine::kAsleep;
-    if (awake != (s.prev_awake[i] != 0)) {
+    if (s.config.tracer != nullptr && awake != (s.prev_awake[i] != 0)) {
       CRMD_TRACE(s.config.tracer,
                  awake ? obs::EventKind::kRadioWake
                        : obs::EventKind::kRadioSleep,
@@ -936,7 +935,7 @@ void step_slot(Engine& s, std::int64_t faults_before) {
     }
   }
   for (const JobId id : s.to_retire) {
-    s.retire(id);
+    s.retire(id, s.now + 1);
   }
 }
 

@@ -184,6 +184,24 @@ void SimConfig::validate() const {
   }
 }
 
+bool SimConfig::common_view() const noexcept {
+  if (multichannel.channels != 1 || faults.any()) {
+    return false;
+  }
+  switch (feedback.kind) {
+    case FeedbackKind::kTernary:
+    case FeedbackKind::kCollisionAsSilence:
+    case FeedbackKind::kNoisy:
+      return true;
+    case FeedbackKind::kCapture:
+      return feedback.alpha == 0.0;
+    case FeedbackKind::kBinaryAck:
+    case FeedbackKind::kUnawareNoCd:
+      return false;
+  }
+  return false;
+}
+
 Simulation::Simulation(workload::Instance instance,
                        const ProtocolFactory& factory, SimConfig config,
                        std::unique_ptr<Jammer> jammer)
@@ -326,7 +344,7 @@ bool Simulation::step() {
       }
     }
     for (const JobId id : s.to_retire) {
-      s.retire(id);
+      s.retire(id, s.now);
     }
     s.min_deadline = new_min;
     if (s.live.empty()) {
@@ -367,7 +385,7 @@ bool Simulation::step() {
     }
     s.metrics.dark_job_slots += dark_this_slot;
     for (const JobId id : s.to_retire) {
-      s.retire(id);
+      s.retire(id, s.now);
     }
     if (s.live.empty()) {
       return !s.finished;
@@ -387,13 +405,12 @@ SimResult Simulation::finish() {
   while (step()) {
   }
   Engine& s = *impl_;
-  s.settle_parked();
   // Fold the jobs still live at the horizon; they never retire.
   for (std::size_t i = 0; i < s.live_flag.size(); ++i) {
     if (s.live_flag[i] != 0) {
       s.live_flag[i] = 0;
       s.destroy_at(i);
-      s.fold(i);
+      s.fold(i, s.now);
     }
   }
   s.live.clear();

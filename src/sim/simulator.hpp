@@ -232,6 +232,15 @@ struct SimConfig {
   /// k = 1-only feedback model is combined with channels > 1. Called by the
   /// Simulation ctor.
   void validate() const;
+
+  /// True when the run guarantees a common view: in every slot, every job
+  /// that ticks and does not sleep hears the same feedback. That holds on
+  /// the one channel (k = 1) with an empty fault plan (no per-job
+  /// perception, skew or darkness) under a feedback model whose listener
+  /// and transmitter views always agree: ternary, collision_as_silence,
+  /// noisy, or capture with alpha = 0. Only such runs get a RunState
+  /// (JobInfo::run).
+  [[nodiscard]] bool common_view() const noexcept;
 };
 
 /// Optional per-slot tap for tests and experiment harnesses: called after

@@ -2,14 +2,20 @@
 // simulations (parameterized across random instances/seeds):
 //
 //  * Lemma 7: every live job agrees, in every slot, on which class is
-//    active.
+//    active. Checked on private replicas, one per live job, because the
+//    engine's jobs step one replica the run shares; each job's view must
+//    match its private replica's.
 //  * Same-window jobs share the same estimate once estimation completes,
 //    and the estimate is a power of two times τ (or 0).
 //  * Successful jobs always deliver inside their windows.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/aligned/protocol.hpp"
@@ -42,24 +48,46 @@ TEST_P(AlignedInvariants, AgreementAndEstimateConsistency) {
 
   sim::SimConfig sc;
   sc.seed = seed;
+  ASSERT_TRUE(sc.common_view());
   sim::Simulation sim(instance, make_aligned_factory(p), sc);
+  // The slot each step simulated, and what every job heard in it (the
+  // channel's true outcome: ternary feedback, no jammer, no faults).
+  std::optional<sim::SlotRecord> simulated;
+  sim.set_observer([&](const sim::SlotRecord& rec,
+                       std::span<const sim::Transmission> /*tx*/) {
+    simulated = rec;
+  });
 
+  // A private replica per live job, stepped as the job's own would be: a
+  // job first ticks in its release slot, the slot it first shows up live.
+  // Each is stamped with the slot it was last stepped in.
+  std::map<JobId, std::pair<Slot, Tracker>> replicas;
   std::int64_t agreement_checks = 0;
   while (sim.step()) {
-    const auto live = sim.live_jobs();
-    if (live.size() < 2) {
+    if (!simulated) {
       continue;
     }
-    // Lemma 7: all live jobs agree on the active class. A job of level L
-    // answers over classes [min_class, L] only, so the precise invariant
-    // is: whenever a job of level L1 reports an active class a != -1,
-    // every job of level L2 >= L1 must report exactly a (their shared
-    // range [min_class, L1] contains a, and shared class states agree).
+    const sim::SlotRecord rec = *simulated;
+    simulated.reset();
     std::vector<std::pair<int, int>> level_active;  // (own level, active)
-    for (const JobId id : live) {
+    for (const JobId id : sim.live_jobs()) {
       auto* proto = dynamic_cast<AlignedProtocol*>(sim.protocol(id));
       ASSERT_NE(proto, nullptr);
-      level_active.emplace_back(proto->level(), proto->active_class());
+      auto& [stepped, replica] =
+          replicas
+              .try_emplace(id, rec.slot,
+                           Tracker(std::min(p.min_class, proto->level()),
+                                   proto->level()))
+              .first->second;
+      stepped = rec.slot;
+      replica.begin_slot(rec.slot, p);
+      replica.end_slot(rec.outcome, p);
+      const int active = replica.active_class();
+      EXPECT_EQ(proto->active_class(), active)
+          << "job " << id << " at slot " << rec.slot;
+      EXPECT_EQ(proto->own_estimate(), replica.view(proto->level()).estimate)
+          << "job " << id << " at slot " << rec.slot;
+      level_active.emplace_back(proto->level(), active);
       // Estimates are 0 or τ times a power of two.
       const std::int64_t est = proto->own_estimate();
       if (est > 0) {
@@ -67,6 +95,15 @@ TEST_P(AlignedInvariants, AgreementAndEstimateConsistency) {
         EXPECT_TRUE(util::is_pow2(est / p.tau));
       }
     }
+    std::erase_if(replicas, [&](const auto& entry) {
+      return entry.second.first != rec.slot;  // the job retired
+    });
+    // Lemma 7: all live jobs' replicas agree on the active class. A job of
+    // level L tracks classes [min_class, L] only, so the precise invariant
+    // is: whenever the replica of a job of level L1 has an active class
+    // a != -1, that of every job of level L2 >= L1 has exactly a (their
+    // shared range [min_class, L1] contains a, and shared class states
+    // agree).
     for (const auto& [l1, a1] : level_active) {
       if (a1 < 0) {
         continue;

@@ -1,13 +1,19 @@
-// Unit tests for PUNCTUAL's building blocks: round layout, clocks, and the
-// derived parameter formulas.
+// Unit tests for PUNCTUAL's building blocks: round layout, clocks, the
+// derived parameter formulas, and the slot role on_slot hands on to the
+// feedback of its slot.
 
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <memory>
+#include <utility>
 
 #include "core/params.hpp"
 #include "core/punctual/clock.hpp"
+#include "core/punctual/protocol.hpp"
 #include "core/punctual/round.hpp"
+#include "sim/simulator.hpp"
+#include "workload/generators.hpp"
 
 namespace crmd::core::punctual {
 namespace {
@@ -177,6 +183,134 @@ TEST(Params, BroadcastStepsConventions) {
   EXPECT_EQ(p.broadcast_steps(6, 0), 0) << "believed-empty class";
   EXPECT_EQ(p.broadcast_steps(6, 1), 2 * 36) << "equal phases only";
   EXPECT_EQ(p.broadcast_steps(6, 8), 2 * (2 * 8 - 2) + 2 * 36);
+}
+
+// ------------------------------------------------ slot role reuse -------
+
+/// What SlotTypeProbe saw, by path.
+struct SlotTypeTally {
+  std::int64_t checks = 0;
+  std::int64_t mismatches = 0;
+  std::int64_t synced_by_listening = 0;  ///< checks of jobs that heard a pair
+  std::int64_t synced_by_announcing = 0;  ///< checks of jobs that announced
+  std::int64_t skewed = 0;  ///< checks after the job's clock slipped
+  std::int64_t desync_fallbacks = 0;  ///< fallbacks within a checked slot
+};
+
+[[nodiscard]] bool on_round_grid(PunctualProtocol::Stage stage) {
+  using Stage = PunctualProtocol::Stage;
+  switch (stage) {
+    case Stage::kSyncListen:
+    case Stage::kSyncAnnounce:
+    case Stage::kDesperate:
+    case Stage::kSucceeded:
+    case Stage::kGaveUp:
+      return false;
+    default:
+      return true;
+  }
+}
+
+/// Drives one PUNCTUAL job and, before each feedback its on_feedback hands
+/// to handle_synced_feedback (a stage on the round grid), checks that the
+/// role on_slot cached is the one the job's clock gives for that slot —
+/// what the feedback computed itself before it reused the cached role.
+class SlotTypeProbe final : public sim::Protocol {
+ public:
+  SlotTypeProbe(const Params& params, util::Rng rng, SlotTypeTally* tally)
+      : inner_(params, std::move(rng)), tally_(tally) {}
+
+  void on_activate(const sim::JobInfo& info) override {
+    inner_.on_activate(info);
+  }
+
+  sim::SlotAction on_slot(const sim::SlotView& view) override {
+    announced_ = announced_ ||
+                 inner_.stage() == PunctualProtocol::Stage::kSyncAnnounce;
+    // Without crashes or stalls a job ticks every slot, so a step of more
+    // than one in the slots it sees is clock skew slipping them ahead.
+    slipped_ = slipped_ || view.since_release > last_seen_ + 1;
+    last_seen_ = view.since_release;
+    return inner_.on_slot(view);
+  }
+
+  void on_feedback(const sim::SlotView& view,
+                   const sim::SlotFeedback& fb) override {
+    const bool checked = on_round_grid(inner_.stage());
+    if (checked) {
+      ++tally_->checks;
+      if (inner_.slot_type() != inner_.clock().type(view.since_release)) {
+        ++tally_->mismatches;
+      }
+      ++(announced_ ? tally_->synced_by_announcing
+                    : tally_->synced_by_listening);
+      if (slipped_) {
+        ++tally_->skewed;
+      }
+    }
+    const bool fell_back = inner_.desync_fallback();
+    inner_.on_feedback(view, fb);
+    if (checked && !fell_back && inner_.desync_fallback()) {
+      ++tally_->desync_fallbacks;
+    }
+  }
+
+  [[nodiscard]] bool done() const override { return inner_.done(); }
+
+ private:
+  PunctualProtocol inner_;
+  SlotTypeTally* tally_;
+  Slot last_seen_ = -1;
+  bool announced_ = false;
+  bool slipped_ = false;
+};
+
+SlotTypeTally probe_slot_types(const Params& params,
+                               const sim::FaultPlan& faults) {
+  workload::GeneralConfig general;
+  general.gamma = 1.0 / 32;
+  general.fill = 0.5;
+  general.horizon = 1 << 14;
+  util::Rng rng(3);
+  const workload::Instance instance = workload::gen_general(general, rng);
+  SlotTypeTally tally;
+  sim::SimConfig config;
+  config.seed = 11;
+  config.faults = faults;
+  (void)sim::run(instance,
+                 [&](const sim::JobInfo& /*info*/, util::Rng job_rng) {
+                   return std::make_unique<SlotTypeProbe>(
+                       params, std::move(job_rng), &tally);
+                 },
+                 config);
+  return tally;
+}
+
+TEST(SlotTypeReuse, FeedbackReadsTheRoleOnSlotFound) {
+  const Params params;
+  // Fault-free: the first job announces a frame, later ones hear its pairs.
+  const SlotTypeTally clean = probe_slot_types(params, sim::FaultPlan{});
+  EXPECT_EQ(clean.mismatches, 0);
+  EXPECT_GT(clean.synced_by_listening, 0);
+  EXPECT_GT(clean.synced_by_announcing, 0);
+
+  // Clock skew shifts the slots a job sees, on_slot and feedback alike.
+  sim::FaultPlan skew;
+  skew.clock_skew_rate = 0.01;
+  const SlotTypeTally skewed = probe_slot_types(params, skew);
+  EXPECT_EQ(skewed.mismatches, 0);
+  EXPECT_GT(skewed.skewed, 0);
+
+  // Lost and corrupted feedback drives jobs off the grid (desync fallback),
+  // from the guard-slot check that reads the reused role among others.
+  Params tolerant = params;
+  tolerant.desync_tolerance = 2;
+  sim::FaultPlan lossy;
+  lossy.feedback_loss_rate = 0.05;
+  lossy.feedback_corrupt_rate = 0.05;
+  const SlotTypeTally desync = probe_slot_types(tolerant, lossy);
+  EXPECT_EQ(desync.mismatches, 0);
+  EXPECT_GT(desync.desync_fallbacks, 0);
 }
 
 }  // namespace

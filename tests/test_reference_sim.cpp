@@ -128,6 +128,10 @@ struct Case {
   bool record = false;
   bool fast_forward = false;
   int min_level = 4;
+  // ALIGNED's Params: the pecking order, and how far Params::min_class
+  // lies above min_level (windows below it track only their own class).
+  bool pecking_order = true;
+  int min_class_above = 0;
   std::uint64_t seed = 0;
 
   [[nodiscard]] std::string spec() const {
@@ -138,7 +142,8 @@ struct Case {
         << " channels=" << channels << " migrate=" << migrate
         << " stream=" << stream << " cut=" << cut << " record=" << record
         << " fast_forward=" << (fast_forward ? "on" : "off")
-        << " min_level=" << min_level << " seed=" << seed;
+        << " min_level=" << min_level << " pecking_order=" << pecking_order
+        << " min_class_above=" << min_class_above << " seed=" << seed;
     return out.str();
   }
 
@@ -413,7 +418,8 @@ core::Params params_for(const Case& c) {
   core::Params params;
   params.lambda = 2;
   params.tau = 8;
-  params.min_class = c.min_level;
+  params.min_class = c.min_level + c.min_class_above;
+  params.pecking_order = c.pecking_order;
   return params;
 }
 
@@ -427,6 +433,118 @@ TEST(ReferenceSim, EngineMatchesNaiveReference) {
     expect_same(ref, eng, c);
     if (HasFailure()) {
       break;  // one reproducible case is enough
+    }
+  }
+}
+
+// ALIGNED's jobs step one pecking-order replica per run in the engine
+// wherever the run has a common view (SimConfig::common_view), and one
+// each in the reference, which hands protocols no RunState. Lemma 7 says
+// the two agree; every JobResult and metric must then be equal.
+std::vector<Case> aligned_cases() {
+  std::vector<Case> cases;
+  util::Rng rng(kMasterSeed ^ 0x414C49474E4544ULL);  // "ALIGNED"
+  const int feedbacks[] = {0, 3, 5};  // ternary, noisy:0.1, capture:0
+  for (int s = 0; s < 3; ++s) {
+    const std::uint64_t seed = rng.next_u64() | 1ULL;
+    for (int jammer = 0; jammer < static_cast<int>(std::size(kJammers));
+         ++jammer) {
+      for (const int feedback : feedbacks) {
+        for (const int cost : {1, 3}) {
+          for (const bool pecking : {true, false}) {
+            Case c;
+            c.index = static_cast<int>(cases.size());
+            c.protocol = "aligned";
+            c.feedback = feedback;
+            c.jammer = jammer;
+            c.cost = cost;
+            c.pecking_order = pecking;
+            // Windows of 2^7..2^9 slots: long enough for estimation to
+            // end and broadcasts to run.
+            c.min_level = 7;
+            c.seed = seed;
+            cases.push_back(c);
+          }
+        }
+      }
+    }
+  }
+  // Windows below Params::min_class (each tracks its own class alone),
+  // streaming runs, and a horizon cut.
+  for (int s = 0; s < 3; ++s) {
+    Case c = cases[static_cast<std::size_t>(s) * 48];
+    c.index = static_cast<int>(cases.size());
+    c.min_class_above = 2;
+    cases.push_back(c);
+    c.index = static_cast<int>(cases.size());
+    c.min_class_above = 0;
+    c.stream = true;
+    c.jammer = 2;  // reactive
+    cases.push_back(c);
+    c.index = static_cast<int>(cases.size());
+    c.cut = true;
+    cases.push_back(c);
+  }
+  return cases;
+}
+
+TEST(ReferenceSim, AlignedSharedReplicaMatchesPrivateReplicas) {
+  std::int64_t larger_after_smaller = 0;
+  std::int64_t delivered = 0;
+  for (const Case& c : aligned_cases()) {
+    const sim::ProtocolFactory factory =
+        make_factory(c.protocol, params_for(c));
+    const workload::Instance instance = make_instance(c);
+    ASSERT_TRUE(make_config(c, instance).common_view()) << c.reproduce();
+    // A larger class activating in the slot after smaller ones (ids follow
+    // the normalized order) widens the replica they are bound to.
+    for (std::size_t j = 1; j < instance.size(); ++j) {
+      const workload::JobSpec& a = instance.jobs[j - 1];
+      const workload::JobSpec& b = instance.jobs[j];
+      larger_after_smaller +=
+          a.release == b.release && b.window() > a.window() ? 1 : 0;
+    }
+    const test::RecordedRun eng = run_engine(c, instance, factory);
+    expect_same(run_reference(c, instance, factory), eng, c);
+    if (HasFailure()) {
+      break;  // one reproducible case is enough
+    }
+    delivered += eng.result.metrics.data_successes;
+  }
+  EXPECT_GT(larger_after_smaller, 0);
+  EXPECT_GT(delivered, 0);
+}
+
+TEST(ReferenceSim, AlignedSharedReplicaGrowsWhileSmallerClassesAreLive) {
+  // Hand-built nesting: in each of these slots smaller classes activate
+  // first and a larger one then widens the replica they already step; at
+  // 512 and 768 a small class activates below a replica grown earlier.
+  workload::Instance instance;
+  const auto add = [&](int count, Slot window, Slot release) {
+    for (int j = 0; j < count; ++j) {
+      instance.jobs.push_back({release, release + window});
+    }
+  };
+  add(3, 128, 0);
+  add(2, 512, 0);
+  add(2, 128, 512);
+  add(2, 256, 768);
+  add(2, 128, 1024);
+  add(1, 256, 1024);
+  add(1, 1024, 1024);
+  instance.normalize();
+  for (const bool pecking : {true, false}) {
+    for (const int jammer : {0, 2}) {
+      Case c;
+      c.protocol = "aligned";
+      c.jammer = jammer;
+      c.pecking_order = pecking;
+      c.min_level = 7;
+      c.seed = 0x4E455354ULL + static_cast<std::uint64_t>(jammer);  // "NEST"
+      const sim::ProtocolFactory factory =
+          make_factory(c.protocol, params_for(c));
+      expect_same(run_reference(c, instance, factory),
+                  run_engine(c, instance, factory), c);
     }
   }
 }

@@ -1,8 +1,12 @@
 // Contract tests for the simulator's interaction with protocols: call
-// ordering, no callbacks after retirement, horizon defaults, and arrival
-// edge cases.
+// ordering, no callbacks after retirement, horizon defaults, arrival edge
+// cases, and which runs hand protocols a shared RunState.
 
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "sim/simulator.hpp"
 #include "test_helpers.hpp"
@@ -194,6 +198,111 @@ TEST(SimContract, SeedChangesOutcomesForRandomProtocols) {
   const auto rb = run(instance, factory, b);
   EXPECT_TRUE(ra.jobs[0].success_slot != rb.jobs[0].success_slot ||
               ra.jobs[1].success_slot != rb.jobs[1].success_slot);
+}
+
+/// Records the RunState each job is handed at activation, then listens
+/// until its deadline.
+class RunStateProbe final : public Protocol {
+ public:
+  explicit RunStateProbe(std::vector<RunState*>* seen) : seen_(seen) {}
+  void on_activate(const JobInfo& info) override {
+    seen_->push_back(info.run);
+  }
+  SlotAction on_slot(const SlotView& /*view*/) override { return {}; }
+  void on_feedback(const SlotView& /*view*/,
+                   const SlotFeedback& /*fb*/) override {}
+  [[nodiscard]] bool done() const override { return false; }
+
+ private:
+  std::vector<RunState*>* seen_;
+};
+
+/// A decorator that forwards every call, as perfbench's do.
+class Forwarding final : public Protocol {
+ public:
+  explicit Forwarding(std::unique_ptr<Protocol> inner)
+      : inner_(std::move(inner)) {}
+  void on_activate(const JobInfo& info) override { inner_->on_activate(info); }
+  SlotAction on_slot(const SlotView& view) override {
+    return inner_->on_slot(view);
+  }
+  void on_feedback(const SlotView& view, const SlotFeedback& fb) override {
+    inner_->on_feedback(view, fb);
+  }
+  [[nodiscard]] bool done() const override { return inner_->done(); }
+
+ private:
+  std::unique_ptr<Protocol> inner_;
+};
+
+/// The RunState every job of one run saw, null when none had one; fails
+/// the test when the jobs of the run saw different ones.
+RunState* run_state_of(SimConfig config, bool wrapped = false) {
+  std::vector<RunState*> seen;
+  const ProtocolFactory factory = [&](const JobInfo& /*info*/,
+                                      util::Rng /*rng*/) {
+    std::unique_ptr<Protocol> probe = std::make_unique<RunStateProbe>(&seen);
+    if (wrapped) {
+      return std::unique_ptr<Protocol>(
+          std::make_unique<Forwarding>(std::move(probe)));
+    }
+    return probe;
+  };
+  (void)run(test::instance_of({{0, 16}, {0, 32}, {8, 24}}), factory, config);
+  EXPECT_EQ(seen.size(), 3U);
+  for (RunState* run : seen) {
+    EXPECT_EQ(run, seen.front()) << "jobs of one run saw different states";
+  }
+  return seen.empty() ? nullptr : seen.front();
+}
+
+SimConfig with_feedback(const std::string& spec) {
+  SimConfig config;
+  config.feedback = *parse_feedback_model(spec);
+  return config;
+}
+
+TEST(SimContract, RunStateOnlyWhereEveryJobHearsTheSameFeedback) {
+  for (const char* spec :
+       {"ternary", "collision_as_silence", "noisy:0.1", "capture:0"}) {
+    SimConfig config = with_feedback(spec);
+    EXPECT_TRUE(config.common_view()) << spec;
+    EXPECT_NE(run_state_of(config), nullptr) << spec;
+    config.collision_cost = 3;
+    EXPECT_NE(run_state_of(config), nullptr) << spec << ", cost 3";
+  }
+  // Views that differ between listeners and transmitters, or per job.
+  for (const char* spec : {"capture:0.5", "unaware_no_cd", "binary_ack"}) {
+    const SimConfig config = with_feedback(spec);
+    EXPECT_FALSE(config.common_view()) << spec;
+    EXPECT_EQ(run_state_of(config), nullptr) << spec;
+  }
+  SimConfig faulted;
+  faulted.faults.feedback_loss_rate = 0.01;
+  EXPECT_FALSE(faulted.common_view());
+  EXPECT_EQ(run_state_of(faulted), nullptr);
+  SimConfig fdma;
+  fdma.multichannel.channels = 4;
+  EXPECT_FALSE(fdma.common_view());
+  EXPECT_EQ(run_state_of(fdma), nullptr);
+}
+
+TEST(SimContract, RunStateReachesWrappedProtocolsAndIsOnePerRun) {
+  EXPECT_NE(run_state_of(SimConfig{}, /*wrapped=*/true), nullptr);
+  // Two runs alive at once hold two states.
+  std::vector<RunState*> seen;
+  const ProtocolFactory factory = [&](const JobInfo& /*info*/,
+                                      util::Rng /*rng*/) {
+    return std::make_unique<RunStateProbe>(&seen);
+  };
+  Simulation a(test::instance_of({{0, 8}}), factory, SimConfig{});
+  Simulation b(test::instance_of({{0, 8}}), factory, SimConfig{});
+  ASSERT_TRUE(a.step());
+  ASSERT_TRUE(b.step());
+  ASSERT_EQ(seen.size(), 2U);
+  EXPECT_NE(seen[0], nullptr);
+  EXPECT_NE(seen[1], nullptr);
+  EXPECT_NE(seen[0], seen[1]);
 }
 
 }  // namespace

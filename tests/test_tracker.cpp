@@ -174,6 +174,40 @@ TEST(Tracker, TwoReplicasAgreeUnderIdenticalObservations) {
   }
 }
 
+TEST(Tracker, RepeatedStepsInOneSlotAreNoOps) {
+  // A replica the jobs of a run share is begun and ended by every one of
+  // them; only the first call of each per slot steps it, whatever outcome
+  // a later call passes.
+  const Params p = test_params(2);
+  Tracker once(2, 5);
+  Tracker shared(2, 5);
+  util::Rng rng(909);
+  for (Slot t = 0; t < 300; ++t) {
+    once.begin_slot(t, p);
+    for (int job = 0; job < 3; ++job) {
+      shared.begin_slot(t, p);
+    }
+    ASSERT_EQ(once.active_class(), shared.active_class()) << "slot " << t;
+    const double roll = rng.next_double();
+    const sim::SlotOutcome outcome =
+        roll < 0.2   ? sim::SlotOutcome::kSuccess
+        : roll < 0.5 ? sim::SlotOutcome::kNoise
+                     : sim::SlotOutcome::kSilence;
+    once.end_slot(outcome, p);
+    shared.end_slot(outcome, p);
+    shared.end_slot(sim::SlotOutcome::kSuccess, p);
+    shared.begin_slot(t, p);
+    for (int cls = 2; cls <= 5; ++cls) {
+      ASSERT_EQ(once.view(cls).estimate, shared.view(cls).estimate)
+          << "slot " << t << " class " << cls;
+      ASSERT_EQ(once.view(cls).broadcast_step, shared.view(cls).broadcast_step)
+          << "slot " << t << " class " << cls;
+      ASSERT_EQ(once.complete(cls), shared.complete(cls))
+          << "slot " << t << " class " << cls;
+    }
+  }
+}
+
 TEST(Tracker, LateArrivalAgreesWithEarlierReplica) {
   // Replica `early` tracks from t=0 (own class 5). Replica `late` joins at
   // t=32 (a class-5 boundary). From t=32 on they must agree on every

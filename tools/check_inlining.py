@@ -35,14 +35,20 @@ CLASSES = [
 PER_SLOT = ("on_slot", "on_feedback", "done")
 
 # Calls a pipeline makes on every job-slot, which must inline into it too:
-# ALIGNED steps its class tracker, and the tracker its active class's
-# estimation, in every slot; NOCD computes its aging floor in every endgame
-# slot, and its pipeline (the fdma_faults workload's) filters every hearing
-# job's feedback through the fault injector.
+# every ALIGNED job steps its replica (a no-op for all but the first job of
+# a slot when the run shares one), reads its active class, clamped to its
+# own, and its own class's completion, and the replica steps its active
+# class's estimation; NOCD computes its aging floor in every endgame slot,
+# and its pipeline (the fdma_faults workload's) filters every hearing job's
+# feedback through the fault injector.
 HELPERS = {
     "crmd::core::aligned::AlignedProtocol": (
         "crmd::core::aligned::Tracker::begin_slot",
         "crmd::core::aligned::Tracker::end_slot",
+        "crmd::core::aligned::Tracker::active_class",
+        "crmd::core::aligned::Tracker::estimating",
+        "crmd::core::aligned::Tracker::complete",
+        "crmd::core::aligned::AlignedProtocol::own_view",
         "crmd::core::aligned::EstimationState::record",
     ),
     "crmd::core::nocd::NocdProtocol": (

@@ -23,8 +23,12 @@ better (by the metric's "better" direction) and the exact one-sided
 sign-test p-value of that many wins: the chance of at least as many under
 a fair coin, over the pairs that are not ties. Then the median of the
 per-pair ratios change/base with a 95% percentile-bootstrap interval
-(BOOTSTRAP_RESAMPLES resamples of the pairs, seeded with BOOTSTRAP_SEED, so
-the same values give the same interval), and a verdict: "faster" or
+(BOOTSTRAP_RESAMPLES resamples, seeded with BOOTSTRAP_SEED, so the same
+values give the same interval). Each resample strings together blocks of
+about sqrt(N) consecutive pairs, wrapping around at the end (a circular
+block bootstrap): host drift moves neighbouring pairs together, and
+resampling single pairs as if independent would read the interval too
+narrow. Then a verdict: "faster" or
 "slower" when the two-sided sign test rejects "no change" under Holm's
 step-down correction over every metric of every workload in the report, at
 the family-wise level ALPHA (0.05) that the report states, and "no claim"
@@ -39,8 +43,8 @@ tree is removed afterwards in every case.
 prints it again with the statistics recomputed. A run that kept only win
 counts, not every pair's value, is skipped with a note.
 
---selftest checks the median, quartile, wins, sign-test, bootstrap, Holm
-and verdict helpers on fixed numbers.
+--selftest checks the median, quartile, wins, sign-test, block resampler,
+bootstrap, Holm and verdict helpers on fixed numbers.
 """
 
 import argparse
@@ -112,15 +116,35 @@ def ratios(base, change):
     return out
 
 
+def block_length(n):
+    """Pairs per bootstrap block for n pairs: about sqrt(n), at least 1."""
+    return max(1, round(math.sqrt(n)))
+
+
+def block_resample(values, rng, block):
+    """One circular block-bootstrap resample of `values`, which are in run
+    order: runs of `block` consecutive values, each from a uniformly drawn
+    start and wrapping past the end, strung together and cut to
+    len(values)."""
+    n = len(values)
+    out = []
+    while len(out) < n:
+        start = rng.randrange(n)
+        out.extend(values[(start + k) % n] for k in range(block))
+    return out[:n]
+
+
 def bootstrap_median(values, resamples=BOOTSTRAP_RESAMPLES,
-                     seed=BOOTSTRAP_SEED):
+                     seed=BOOTSTRAP_SEED, block=None):
     """95% percentile-bootstrap interval (lo, hi) for the median of
-    `values`, from a fixed seed; (None, None) for an empty list."""
+    `values` (in run order), resampled in blocks of `block` consecutive
+    values (block_length by default) from a fixed seed; (None, None) for an
+    empty list."""
     if not values:
         return None, None
     rng = random.Random(seed)
-    n = len(values)
-    medians = [quantile([values[rng.randrange(n)] for _ in range(n)], 0.5)
+    block = block or block_length(len(values))
+    medians = [quantile(block_resample(values, rng, block), 0.5)
                for _ in range(resamples)]
     return quantile(medians, 0.025), quantile(medians, 0.975)
 
@@ -201,14 +225,35 @@ def selftest():
     assert two_sided_p(0, 0) == 1
     assert ratios([2.0, 0.0, 0.0, 4.0], [1.0, 0.0, 3.0, 5.0]) == \
         [0.5, 1.0, 1.25]
+    # The block resampler keeps runs of consecutive values, wrapping at the
+    # end: within a block each value follows its predecessor.
+    assert [block_length(n) for n in (1, 3, 10, 20)] == [1, 2, 3, 4]
+    order = list(range(10))
+    rng = random.Random(7)
+    for _ in range(50):
+        sample = block_resample(order, rng, 3)
+        assert len(sample) == 10, sample
+        for i in range(1, 10):
+            if i % 3:
+                assert sample[i] == (sample[i - 1] + 1) % 10, sample
+    rotation = block_resample(order, rng, 10)
+    start = rotation[0]
+    assert rotation == [(start + k) % 10 for k in range(10)], rotation
     # The bootstrap interval is seeded: fixed values give fixed bounds.
     spread = [0.78, 0.81, 0.80, 0.95, 0.79, 0.83, 0.77, 0.82, 0.80, 0.84]
     lo, hi = bootstrap_median(spread)
     assert (lo, hi) == bootstrap_median(spread)
-    assert (lo, hi) == (0.79, 0.83), (lo, hi)
+    assert (lo, hi) == (0.795, 0.825), (lo, hi)
     assert lo <= quantile(spread, 0.5) <= hi
     assert bootstrap_median([0.8] * 10) == (0.8, 0.8)
     assert bootstrap_median([]) == (None, None)
+    # Drift: the ratios climb pair by pair. Blocks keep neighbours together,
+    # so the interval is wider than that of single pairs resampled as if
+    # independent.
+    drift = [0.90, 0.91, 0.92, 0.93, 0.94, 0.95, 0.96, 0.97, 0.98, 0.99]
+    lo, hi = bootstrap_median(drift)
+    iid_lo, iid_hi = bootstrap_median(drift, block=1)
+    assert hi - lo > iid_hi - iid_lo, ((lo, hi), (iid_lo, iid_hi))
     # Holm at 0.05 over four p-values: 0.005 <= 0.05/4 and 0.01 <= 0.05/3
     # are rejected; 0.03 > 0.05/2 stops the step-down.
     assert holm([0.01, 0.04, 0.03, 0.005], 0.05) == [True, False, False, True]
